@@ -57,26 +57,31 @@ def _coerce(kind: str, value):
 
 
 def _apply_binary(op: str, kind: str, left, right):
-    """Evaluate a classical binary op; None when undefined (e.g. DIV 0)."""
-    if op == "ADD":
-        result = left + right
-    elif op == "SUB":
-        result = left - right
-    elif op == "MUL":
-        result = left * right
-    elif op == "DIV":
-        if right == 0:
-            return None
-        result = left // right if kind in ("BIT", "OCTET", "INTEGER") else left / right
-    elif op == "AND":
-        result = int(left) & int(right)
-    elif op == "IOR":
-        result = int(left) | int(right)
-    elif op == "XOR":
-        result = int(left) ^ int(right)
-    else:  # pragma: no cover - parser restricts the op set
-        raise ValueError(f"not a binary op: {op}")
-    return _coerce(kind, result)
+    """Evaluate a classical binary op; None when undefined (DIV 0, or a
+    result the kind cannot hold, such as int(inf))."""
+    if op == "DIV" and right == 0:
+        return None
+    try:
+        if op == "ADD":
+            result = left + right
+        elif op == "SUB":
+            result = left - right
+        elif op == "MUL":
+            result = left * right
+        elif op == "DIV":
+            integral = kind in ("BIT", "OCTET", "INTEGER")
+            result = left // right if integral else left / right
+        elif op == "AND":
+            result = int(left) & int(right)
+        elif op == "IOR":
+            result = int(left) | int(right)
+        elif op == "XOR":
+            result = int(left) ^ int(right)
+        else:  # pragma: no cover - parser restricts the op set
+            raise ValueError(f"not a binary op: {op}")
+        return _coerce(kind, result)
+    except (OverflowError, ValueError):
+        return None
 
 
 def _apply_unary(op: str, kind: str, value):
@@ -219,7 +224,10 @@ def _transfer_classical(instr: ir.Classical, regions, cells) -> None:
     kind = regions[dest.region].kind
     if op == "MOVE":
         value = _operand_value(instr.operands[1], cells)
-        result = None if value is None else _coerce(kind, value)
+        try:
+            result = None if value is None else _coerce(kind, value)
+        except (OverflowError, ValueError):  # int(inf): not a constant
+            result = None
     elif op in ir.UNARY_OPS:
         value = cells.get(token)
         result = None if value is None else _apply_unary(op, kind, value)

@@ -4,10 +4,14 @@ A program is cut into straight-line *traces*: one starting at position 0,
 plus, for every conditional jump, one starting at its target label and one
 at its fall-through position.  Labels are never trace nodes (the entry
 label is kept as an anchor) and unconditional jumps are threaded through.
-Each trace becomes a :class:`Ddg`, a data-dependency graph over the
-trace's instructions with conflict edges (one instruction writes a
-resource another touches) restricted to trace order and then transitively
-reduced, which is unique on a DAG.
+:func:`segment` finds the traces without building graphs; each trace
+then becomes a :class:`Ddg`, a data-dependency graph over the trace's
+instructions with conflict edges (one instruction writes a resource
+another touches) restricted to trace order and then transitively
+reduced, which is unique on a DAG.  The edges come from one scan that
+tracks each resource's last writer and readers since that write, and the
+reduction walks the nodes once with int bitsets of what each reaches, so
+a trace's graph costs close to linear time in its length.
 
 Trace roles:
 
@@ -48,10 +52,11 @@ class Role(enum.Enum):
     HALT = "halt"
 
 
-def _trace(program: ir.Program, entry: int) -> tuple[list[int], str | None]:
+def _trace(
+    program: ir.Program, labels: dict[str, int], entry: int
+) -> tuple[tuple[int, ...], str | None]:
     """Follow execution from ``entry``; return node positions and the
     entry label's name when the trace begins at a label."""
-    labels = program.labels
     instructions = program.instructions
     path: list[int] = []
     anchor: str | None = None
@@ -76,36 +81,70 @@ def _trace(program: ir.Program, entry: int) -> tuple[list[int], str | None]:
         if isinstance(instr, (ir.Halt, ir.JumpWhen, ir.JumpUnless)):
             break
         pos += 1
-    return path, anchor
+    return tuple(path), anchor
 
 
 def _conflict_edges(instructions: list[ir.Instruction]) -> set[tuple[int, int]]:
-    """Index pairs (i, j), i < j, whose instructions touch a common
-    resource with at least one side writing."""
-    res = [ir.resources(x) for x in instructions]
-    edges = set()
-    for j in range(len(instructions)):
-        for i in range(j):
-            if ir.conflicts(res[i], res[j]):
+    """Index pairs (i, j), i < j, whose transitive closure is that of the
+    conflict relation (one side writes a resource the other touches).
+
+    One scan keeps, per resource token, the last writer and the readers
+    since that write: a write depends on both, a read on the writer only.
+    A bare ``RESET`` writes every qubit: it depends on every pending qubit
+    writer and reader and on the previous bare ``RESET``, then clears them,
+    so a qubit with no writer of its own since then falls back to it.
+    """
+    edges: set[tuple[int, int]] = set()
+    writer: dict[ir.Token, int] = {}
+    readers: dict[ir.Token, list[int]] = {}
+    wildcard: int | None = None  # the last bare RESET
+    for j, instr in enumerate(instructions):
+        res = ir.resources(instr)
+        if ir.WILDCARD_QUBIT in res.writes:
+            deps = {i for t, i in writer.items() if t[0] == "q"}
+            for t, rs in readers.items():
+                if t[0] == "q":
+                    deps.update(rs)
+            if wildcard is not None:
+                deps.add(wildcard)
+            for t in [t for t in writer if t[0] == "q"]:
+                del writer[t]
+            for t in [t for t in readers if t[0] == "q"]:
+                del readers[t]
+            wildcard = j
+            edges.update((i, j) for i in deps)
+            continue
+        for t in res.reads | res.writes:
+            i = writer.get(t, wildcard if t[0] == "q" else None)
+            if i is not None:
                 edges.add((i, j))
+        for t in res.writes:
+            edges.update((i, j) for i in readers.pop(t, ()))
+            writer[t] = j
+        for t in res.reads - res.writes:
+            readers.setdefault(t, []).append(j)
     return edges
 
 
 def transitive_reduction(n: int, edges: set[tuple[int, int]]) -> set[tuple[int, int]]:
-    """Unique transitive reduction of a DAG whose edges go low -> high."""
-    succ: dict[int, set[int]] = defaultdict(set)
+    """Unique transitive reduction of a DAG whose edges go low -> high.
+
+    Nodes are visited from last to first, each keeping what it reaches as
+    an int bitset; edge (u, v) stays only when no lower successor of ``u``
+    already reaches ``v``.
+    """
+    succ: list[list[int]] = [[] for _ in range(n)]
     for u, v in edges:
-        succ[u].add(v)
-    reach: list[set[int]] = [set() for _ in range(n)]
-    for u in range(n - 1, -1, -1):
-        for v in succ[u]:
-            reach[u].add(v)
-            reach[u] |= reach[v]
+        succ[u].append(v)
+    reach = [0] * n
     reduced = set()
-    for u in range(n):
-        for v in succ[u]:
-            if not any(v in reach[w] for w in succ[u] if w != v):
+    for u in range(n - 1, -1, -1):
+        covered = 0
+        for v in sorted(succ[u]):
+            if not covered >> v & 1:
                 reduced.add((u, v))
+                covered |= reach[v] | 1 << v
+        reach[u] = covered
     return reduced
 
 
@@ -135,23 +174,20 @@ class Ddg:
         self.path = tuple(path)
         self.ends_program = ends_program
 
-        self._index = {pos: i for i, pos in enumerate(self.path)}
         instructions = [program.instructions[p] for p in self.path]
-        raw = _conflict_edges(instructions)
-        reduced = transitive_reduction(len(instructions), raw)
+        reduced = transitive_reduction(
+            len(instructions), _conflict_edges(instructions)
+        )
         self.edges = frozenset(
             (self.path[i], self.path[j]) for i, j in reduced
         )
-        self.succ: dict[int, tuple[int, ...]] = {p: () for p in self.path}
-        self.pred: dict[int, tuple[int, ...]] = {p: () for p in self.path}
         by_src: dict[int, list[int]] = defaultdict(list)
         by_dst: dict[int, list[int]] = defaultdict(list)
         for u, v in self.edges:
             by_src[u].append(v)
             by_dst[v].append(u)
-        for p in self.path:
-            self.succ[p] = tuple(sorted(by_src[p]))
-            self.pred[p] = tuple(sorted(by_dst[p]))
+        self.succ = {p: tuple(sorted(by_src[p])) for p in self.path}
+        self.pred = {p: tuple(sorted(by_dst[p])) for p in self.path}
 
     @property
     def instructions(self) -> tuple[ir.Instruction, ...]:
@@ -232,53 +268,65 @@ class DdgSet:
         return [d for d in self.segments if d.role is Role.HALT]
 
 
-def _classify_end(program: ir.Program, path: list[int]) -> tuple[Role, bool]:
-    """Role (ignoring START) and whether the trace literally ends the
-    program."""
-    if not path:
-        return Role.HALT, True
-    last = program.instructions[path[-1]]
-    if isinstance(last, ir.Halt):
-        return Role.HALT, True
-    if isinstance(last, (ir.JumpWhen, ir.JumpUnless)):
-        fall, _ = _trace(program, path[-1] + 1)
-        target, _ = _trace(program, program.labels[last.target])
-        if not fall or not target:
-            # The program can terminate at this jump.
-            return Role.HALT, False
-        return Role.INTERIOR, False
-    return Role.HALT, True  # ran off the end of the program
+def segment(program: ir.Program) -> list[tuple]:
+    """Cut a program into its traces, without building their graphs.
 
+    Returns one ``(id, role, entry, anchor, path, ends_program)`` tuple per
+    trace, in :class:`DdgSet` order; ``Ddg(program, *spec)`` builds its
+    graph.  Paths depend only on the positions of labels, jumps and halts.
+    """
+    labels = program.labels
+    traces: dict[int, tuple[tuple[int, ...], str | None]] = {}
 
-def build_ddgs(program: ir.Program) -> DdgSet:
-    """Segment a program into its traces and build one Ddg per trace."""
-    start_path, start_anchor = _trace(program, 0)
-    role, ends = _classify_end(program, start_path)
-    segments = [
-        Ddg(program, "start", Role.START, 0, start_anchor, start_path, ends)
+    def trace(entry: int):
+        if entry not in traces:
+            traces[entry] = _trace(program, labels, entry)
+        return traces[entry]
+
+    def classify_end(path) -> tuple[Role, bool]:
+        """Role (ignoring START) and whether the trace literally ends the
+        program."""
+        if not path:
+            return Role.HALT, True
+        last = program.instructions[path[-1]]
+        if isinstance(last, ir.Halt):
+            return Role.HALT, True
+        if isinstance(last, (ir.JumpWhen, ir.JumpUnless)):
+            fall = trace(path[-1] + 1)[0]
+            target = trace(labels[last.target])[0]
+            if not fall or not target:
+                # The program can terminate at this jump.
+                return Role.HALT, False
+            return Role.INTERIOR, False
+        return Role.HALT, True  # ran off the end of the program
+
+    start_path, start_anchor = trace(0)
+    specs = [
+        ("start", Role.START, 0, start_anchor, start_path,
+         classify_end(start_path)[1])
     ]
 
-    labels = program.labels
     entries: list[int] = []
     for pos, instr in enumerate(program.instructions):
         if isinstance(instr, (ir.JumpWhen, ir.JumpUnless)):
             entries.append(labels[instr.target])
             entries.append(pos + 1)
-
-    traced = []
-    for entry in entries:
-        path, anchor = _trace(program, entry)
-        if path:  # empty traces are dropped
-            traced.append((entry, path, anchor))
-    traced.sort(key=lambda t: t[0])
+    entries.sort()
 
     counters = {Role.INTERIOR: 0, Role.HALT: 0}
-    for entry, path, anchor in traced:
-        role, ends = _classify_end(program, path)
+    for entry in entries:
+        path, anchor = trace(entry)
+        if not path:  # empty traces are dropped
+            continue
+        role, ends = classify_end(path)
         counters[role] += 1
-        ddg_id = f"{role.value}{counters[role]}"
-        segments.append(Ddg(program, ddg_id, role, entry, anchor, path, ends))
-    return DdgSet(program, segments)
+        specs.append((f"{role.value}{counters[role]}", role, entry, anchor, path, ends))
+    return specs
+
+
+def build_ddgs(program: ir.Program) -> DdgSet:
+    """Segment a program into its traces and build one Ddg per trace."""
+    return DdgSet(program, [Ddg(program, *spec) for spec in segment(program)])
 
 
 # ---------------------------------------------------------------------------

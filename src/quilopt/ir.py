@@ -20,6 +20,7 @@ qubit, which is modeled with a wildcard token.
 from __future__ import annotations
 
 import enum
+import math
 import re
 from dataclasses import dataclass
 from typing import Iterator, Union
@@ -349,11 +350,18 @@ def _parse_qubit(token: str, line: int) -> int:
     return int(token)
 
 
+def _parse_float(token: str, line: int) -> float:
+    value = float(token)
+    if not math.isfinite(value):
+        raise ParseError(f"number {token!r} is out of the float range", line)
+    return value
+
+
 def _parse_number(token: str, line: int):
     if _INT_RE.match(token):
         return int(token)
     if _NUM_RE.match(token):
-        return float(token)
+        return _parse_float(token, line)
     raise ParseError(f"expected a number, got {token!r}", line)
 
 
@@ -373,7 +381,7 @@ def _parse_gate(line_text: str, line: int) -> Instruction:
             if not piece:
                 raise ParseError(f"empty parameter in {name}", line)
             if _NUM_RE.match(piece):
-                params.append(float(piece))
+                params.append(_parse_float(piece, line))
             else:
                 params.append(_parse_ref(piece, line))
     if len(params) != n_params:

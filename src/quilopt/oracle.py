@@ -204,6 +204,16 @@ def _run_classical(instr: ir.Classical, memory, kinds) -> None:
         _write(memory, kinds, dest, result)
 
 
+def _angle(value, pc: int) -> float:
+    try:
+        theta = float(value)
+    except OverflowError:
+        theta = math.inf
+    if not math.isfinite(theta):
+        raise OracleError(f"position {pc}: rotation angle is not a finite float")
+    return theta
+
+
 def _readout_key(memory, readout):
     return tuple((name, tuple(memory[name])) for name in sorted(readout))
 
@@ -254,7 +264,10 @@ def run(
             if isinstance(instr, (ir.Declare, ir.Label)):
                 pc += 1
             elif isinstance(instr, ir.Classical):
-                _run_classical(instr, memory, kinds)
+                try:
+                    _run_classical(instr, memory, kinds)
+                except (OverflowError, ValueError) as exc:  # int(inf), int(nan)
+                    raise OracleError(f"position {pc}: {exc}") from None
                 pc += 1
             elif isinstance(instr, ir.Gate):
                 unitary = (
@@ -265,7 +278,7 @@ def run(
                 state = _apply_unitary(state, n, unitary, list(instr.qubits))
                 pc += 1
             elif isinstance(instr, ir.ParamGate):
-                theta = float(_read(memory, instr.params[0]))
+                theta = _angle(_read(memory, instr.params[0]), pc)
                 unitary = rotation_unitary(instr.name, theta)
                 state = _apply_unitary(state, n, unitary, list(instr.qubits))
                 pc += 1

@@ -2,8 +2,9 @@
 
 Every pass takes a :class:`~quilopt.ir.Program` and returns a new one;
 the program text is the single source of truth.  Passes work one trace
-segment at a time: the segment graph is rebuilt after each segment is
-rewritten, so later segments always see the current program.
+segment at a time.  Reordering passes segment the program once, then
+build each segment's graph on the current program just before rewriting
+it, so later segments always see the earlier rewrites.
 
 Reordering passes produce a new execution order for a segment and write
 it back by *range projection*: the segment's positions are split into
@@ -16,6 +17,7 @@ the control structure is preserved exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from quilopt import analyses, graphs, ir
@@ -34,6 +36,14 @@ class FoldDiagnostic:
     message: str
 
 
+def _literal(value):
+    """``value`` when it can be written back as a source literal: never a
+    non-finite float, which would not parse again."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return value
+
+
 def _fold_classical(instr: ir.Classical, regions, cells):
     """Rewrite one classical instruction; returns (instr, diagnostic)."""
     if instr.op == "EXCHANGE":
@@ -45,7 +55,7 @@ def _fold_classical(instr: ir.Classical, regions, cells):
 
     operands = list(instr.operands)
     if len(operands) > 1 and isinstance(operands[1], ir.MemoryRef):
-        value = cells.get(ir.ref_token(operands[1]))
+        value = _literal(cells.get(ir.ref_token(operands[1])))
         if value is not None:
             operands[1] = value
 
@@ -57,7 +67,7 @@ def _fold_classical(instr: ir.Classical, regions, cells):
     if instr.op in ir.UNARY_OPS:
         current = cells.get(token)
         if current is not None:
-            result = analyses._apply_unary(instr.op, kind, current)
+            result = _literal(analyses._apply_unary(instr.op, kind, current))
             if result is not None:
                 return ir.Classical("MOVE", (dest, result)), None
         return instr, None
@@ -67,7 +77,7 @@ def _fold_classical(instr: ir.Classical, regions, cells):
     if instr.op == "DIV" and not isinstance(source, ir.MemoryRef) and source == 0:
         diagnostic = "division by zero"
     elif current is not None and not isinstance(source, ir.MemoryRef):
-        result = analyses._apply_binary(instr.op, kind, current, source)
+        result = _literal(analyses._apply_binary(instr.op, kind, current, source))
         if result is not None:
             return ir.Classical("MOVE", (dest, result)), None
     folded = ir.Classical(instr.op, tuple(operands))
@@ -80,8 +90,14 @@ def _fold_param_gate(instr: ir.ParamGate, cells):
     for i, param in enumerate(params):
         if isinstance(param, ir.MemoryRef):
             value = cells.get(ir.ref_token(param))
-            if value is not None:
-                params[i] = float(value)
+            if value is None:
+                continue
+            try:
+                angle = _literal(float(value))
+            except OverflowError:  # an INTEGER cell past the float range
+                angle = None
+            if angle is not None:
+                params[i] = angle
                 changed = True
     if not changed:
         return instr
@@ -230,15 +246,15 @@ def _write_back(program: ir.Program, ddg: Ddg, new_order) -> ir.Program:
     return ir.Program(tuple(instructions))
 
 
-def _segment_count(program: ir.Program) -> int:
-    return len(graphs.build_ddgs(program))
-
-
 def _apply_orderings(program: ir.Program, order_segment) -> ir.Program:
-    """Run ``order_segment(ddg) -> new order`` over every segment in turn."""
-    for index in range(_segment_count(program)):
-        ddgs = graphs.build_ddgs(program)
-        ddg = list(ddgs)[index]
+    """Run ``order_segment(ddg) -> new order`` over every segment in turn.
+
+    Write-back never moves labels, jumps or pinned terminators, so the
+    trace paths found up front stay valid; each segment's graph is built
+    on the current program, after the earlier segments were rewritten.
+    """
+    for spec in graphs.segment(program):
+        ddg = Ddg(program, *spec)
         if len(ddg) < 2:
             continue
         program = _write_back(program, ddg, order_segment(ddg))

@@ -3,11 +3,49 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_program
-from quilopt import graphs, ir
-from quilopt.fixtures import fixture_program
+from quilopt import graphs, ir, transforms
+from quilopt.fixtures import WORKLOADS, fixture_program
 from quilopt.graphs import Role
+
+
+def reference_edges(instructions):
+    """All-pairs conflict edges: the definition the one-scan builder in
+    ``graphs`` must agree with after reduction."""
+    res = [ir.resources(x) for x in instructions]
+    return {
+        (i, j)
+        for j in range(len(res))
+        for i in range(j)
+        if ir.conflicts(res[i], res[j])
+    }
+
+
+def reference_reduction(n, edges):
+    """Set-based transitive reduction of a low -> high DAG."""
+    succ = {u: set() for u in range(n)}
+    for u, v in edges:
+        succ[u].add(v)
+    reach = [set() for _ in range(n)]
+    for u in range(n - 1, -1, -1):
+        for v in succ[u]:
+            reach[u] |= {v} | reach[v]
+    return {
+        (u, v)
+        for u in range(n)
+        for v in succ[u]
+        if not any(v in reach[w] for w in succ[u] if w != v)
+    }
+
+
+def reference_graph(ddg):
+    """A Ddg's edges as the all-pairs builder and set reduction give them."""
+    instrs = list(ddg.instructions)
+    reduced = reference_reduction(len(instrs), reference_edges(instrs))
+    return {(ddg.path[i], ddg.path[j]) for i, j in reduced}
 
 
 def closure(n, edges):
@@ -167,11 +205,106 @@ class TestEdges:
                     assert ir.conflicts(res[u], res[v])
                 # reduction preserves reachability of the full conflict graph
                 instrs = list(ddg.instructions)
-                raw = graphs._conflict_edges(instrs)
+                raw = reference_edges(instrs)
                 reduced = {(index[u], index[v]) for u, v in ddg.edges}
                 assert closure(len(instrs), raw) == closure(len(instrs), reduced)
                 # and is itself irreducible
                 assert graphs.transitive_reduction(len(instrs), reduced) == reduced
+
+
+# Straight-line programs on three qubits, weighted towards RESET, so that
+# bare resets meet qubit uses, each other and later qubit resets.
+_QUBIT = st.integers(0, 2)
+_BIT = st.builds(ir.MemoryRef, st.just("ro"), st.integers(0, 1))
+_RESET_HEAVY_INSTR = st.one_of(
+    st.just(ir.Reset(None)),
+    st.builds(ir.Reset, _QUBIT),
+    st.builds(lambda q: ir.Gate("H", (), (q,)), _QUBIT),
+    st.builds(lambda q: ir.Gate("CNOT", (), (q, (q + 1) % 3)), _QUBIT),
+    st.builds(ir.Measure, _QUBIT, _BIT),
+    st.builds(lambda c: ir.ParamGate("RZ", (c,), (0,)), _BIT),
+    st.builds(lambda c: ir.Classical("NOT", (c,)), _BIT),
+)
+
+
+@st.composite
+def _dags(draw):
+    """``(n, edges)`` of a random DAG whose edges go low -> high."""
+    n = draw(st.integers(0, 24))
+    pairs = [(u, v) for v in range(n) for u in range(v)]
+    if not pairs:
+        return n, set()
+    return n, draw(st.sets(st.sampled_from(pairs)))
+
+
+class TestEdgeBuilder:
+    """The one-scan builder against the all-pairs reference."""
+
+    def test_fixtures_match_reference(self):
+        for name in WORKLOADS:
+            for ddg in graphs.build_ddgs(fixture_program(name)):
+                assert ddg.edges == reference_graph(ddg), (name, ddg.id)
+
+    def test_random_programs_match_reference(self):
+        for seed in range(200):
+            for ddg in graphs.build_ddgs(random_program(random.Random(seed))):
+                assert ddg.edges == reference_graph(ddg), (seed, ddg.id)
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            "H 0\nRESET\nX 0",                 # bare RESET between qubit uses
+            "MEASURE 1 ro\nRESET\nRESET\nH 1",  # back-to-back bare RESETs
+            "RESET\nH 0\nCNOT 0 1",            # bare RESET before first use
+            "H 0\nRESET\nRESET 0\nX 0\nX 1",  # RESET q after a bare RESET
+            "RZ(ro) 0\nRESET\nMEASURE 0 ro\nRESET 1\nRESET",
+        ],
+    )
+    def test_reset_cases_match_reference(self, body):
+        program = ir.parse("DECLARE ro BIT[2]\n" + body + "\n")
+        ddg = graphs.build_ddgs(program).start
+        assert ddg.edges == reference_graph(ddg)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_RESET_HEAVY_INSTR, max_size=24))
+    def test_reset_heavy_programs_match_reference(self, body):
+        program = ir.Program((ir.Declare("ro", "BIT", 2),) + tuple(body))
+        ddg = graphs.build_ddgs(program).start
+        assert ddg.edges == reference_graph(ddg)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_dags())
+    def test_reduction_matches_set_based(self, dag):
+        n, edges = dag
+        assert graphs.transitive_reduction(n, edges) == reference_reduction(n, edges)
+
+
+class TestSegmentOnce:
+    """Reordering passes segment once up front: they must leave every
+    trace path where it was."""
+
+    PASSES = ("hybrid-deps-reorder", "hybrid-deps-latest-quantum")
+
+    def check(self, program):
+        before = graphs.segment(program)
+        for name in self.PASSES:
+            assert graphs.segment(transforms.apply_pass(program, name)) == before
+
+    def test_fixtures(self):
+        for name in WORKLOADS:
+            self.check(fixture_program(name))
+
+    def test_random_programs(self):
+        for seed in range(200):
+            self.check(random_program(random.Random(seed)))
+
+    def test_build_ddgs_follows_segment(self):
+        program = fixture_program("rus")
+        specs = graphs.segment(program)
+        assert [
+            (d.id, d.role, d.entry, d.anchor, d.path, d.ends_program)
+            for d in graphs.build_ddgs(program)
+        ] == specs
 
 
 class TestCfg:

@@ -252,6 +252,21 @@ class TestEmit:
     def test_empty_program(self):
         assert ir.emit(ir.Program()) == ""
 
+    @pytest.mark.parametrize(
+        "text",
+        ["RZ(1e400) 0", "RX(-1e309) 0", "DECLARE a REAL\nMOVE a 1e400",
+         "DECLARE a REAL\nADD a -2e308"],
+    )
+    def test_non_finite_literal_is_rejected(self, text):
+        # float() would read these as inf, which emits as "inf" and parses
+        # back as an undeclared region: the round trip would break.
+        with pytest.raises(ir.ParseError, match="out of the float range"):
+            ir.parse(text + "\n")
+
+    def test_largest_finite_literal_round_trips(self):
+        program = ir.parse("DECLARE a REAL\nRZ(1.7e308) 0\nMOVE a -1.7e308\n")
+        assert ir.parse(ir.emit(program)) == program
+
     def test_round_trip_random_programs(self):
         for seed in range(200):
             program = random_program(random.Random(seed))

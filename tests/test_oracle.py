@@ -116,6 +116,31 @@ class TestClassical:
         with pytest.raises(oracle.OracleError):
             _dist("DECLARE a INTEGER\nDIV a 0\n")
 
+    def test_angle_past_float_range_raises(self):
+        text = (
+            "DECLARE ro BIT\nDECLARE a INTEGER\nMOVE a 10\n"
+            + "MUL a a\n" * 10
+            + "RY(a) 0\nMEASURE 0 ro\n"
+        )
+        with pytest.raises(oracle.OracleError, match="position 13"):
+            _dist(text)
+
+    def test_non_finite_angle_raises(self):
+        text = (
+            "DECLARE ro BIT\nDECLARE t REAL\nMOVE t 1e300\nMUL t 1e300\n"
+            "RY(t) 0\nMEASURE 0 ro\n"
+        )
+        with pytest.raises(oracle.OracleError, match="position 4"):
+            _dist(text)
+
+    def test_infinite_real_into_integer_raises(self):
+        text = (
+            "DECLARE ro INTEGER\nDECLARE t REAL\nMOVE t 1e300\nMUL t 1e300\n"
+            "MOVE ro t\n"
+        )
+        with pytest.raises(oracle.OracleError, match="position 4"):
+            _dist(text)
+
     def test_bit_add_into_real(self):
         # Measured bits may be accumulated directly into a REAL cell.
         text = (

@@ -47,6 +47,30 @@ class TestConstantFold:
         )
         assert notes == ()
 
+    def test_never_folds_to_a_non_finite_value(self):
+        # 1e300 * 1e300 overflows to inf; folding it would emit "MOVE ro inf",
+        # which does not parse back.
+        program = ir.parse("DECLARE ro REAL\nMOVE ro 1e300\nMUL ro 1e300\n")
+        folded, _ = transforms.constant_fold(program)
+        assert folded == program
+        assert ir.parse(ir.emit(folded)) == folded
+
+    def test_infinite_real_into_integer_is_not_a_constant(self):
+        program = ir.parse(
+            "DECLARE t REAL\nDECLARE ro INTEGER\n"
+            "MOVE t 1e300\nMUL t 1e300\nMOVE ro t\nADD ro 1\n"
+        )
+        folded, _ = transforms.constant_fold(program)
+        assert folded == program
+
+    def test_huge_integer_angle_is_not_folded(self):
+        program = ir.parse(
+            "DECLARE a INTEGER\nMOVE a 10\n" + "MUL a a\n" * 10 + "RY(a) 0\n"
+        )
+        folded, _ = transforms.constant_fold(program)
+        assert isinstance(folded.instructions[-1], ir.ParamGate)
+        assert ir.parse(ir.emit(folded)) == folded
+
     def test_all_constant_operation_becomes_move(self):
         program = ir.parse(
             "DECLARE a INTEGER\nDECLARE b INTEGER\n"
