@@ -237,8 +237,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="print the exact readout distribution")
     p.add_argument("file")
-    p.add_argument("--max-steps", type=int, default=10000)
-    p.add_argument("--prune", type=float, default=1e-12)
+    p.add_argument(
+        "--max-steps",
+        type=int,
+        default=10000,
+        help="instructions one configuration may execute; a merged "
+        "configuration keeps the larger count of its members",
+    )
+    p.add_argument(
+        "--prune",
+        type=float,
+        default=1e-12,
+        help="drop a measurement outcome of at most this probability",
+    )
     p.add_argument("--readout", help="comma-separated readout region names")
     p.set_defaults(func=_cmd_oracle)
 

@@ -1,14 +1,31 @@
 """Reference interpreter: exact readout distributions for small programs.
 
-Executes a program on a dense statevector, forking on every measurement
-(and reset) into the outcome-0 and outcome-1 branches weighted by the Born
-rule.  The result is the exact joint distribution over the readout
+Executes a program on a worklist of *configurations*: a program counter,
+the classical memory and one sub-normalized mixed state rho = V Vᴴ, kept as
+a factor ``V`` of shape 2**n x r (r = 1 for a pure state).
+
+- A gate applies its unitary to every column of ``V``.
+- A measurement splits a configuration into its two outcomes, weighted by
+  the Born rule: each keeps the rows where the qubit reads that outcome,
+  and its probability is the squared norm of what it keeps.
+- A reset does not split: it maps ``V`` to [P0·V | X·P1·V], dropping
+  all-zero columns (a measured qubit leaves one block empty).
+- Configurations with equal pc and memory follow the same control path
+  from there on, and everything after that point is linear in rho, so
+  they merge exactly into one by concatenating their factors' columns.  A
+  factor wider than 2**n is refactored to 2**n columns (V <- Rᴴ, where
+  Vᴴ = QR), so a step never costs more than one on a density matrix.
+
+Pending configurations are expanded lowest pc first (ties in insertion
+order), so that paths meet and merge before they run on, and the result
+is deterministic.  It is the exact joint distribution over the readout
 regions' final contents, which optimization passes must preserve.
 
-Branches whose cumulative probability drops below ``prune_epsilon``, and
-branches that run longer than ``max_steps`` instructions, are abandoned;
-their probability is reported as ``truncated_mass`` instead of being
-silently dropped.
+A measurement outcome whose probability is at most ``prune_epsilon``, and
+a configuration that has executed ``max_steps`` instructions, are
+abandoned; their probability is reported as ``truncated_mass`` instead of
+being silently dropped.  Steps are counted per configuration, and a merged
+configuration carries the larger count of its members.
 
 The classical semantics here are deliberately implemented from scratch,
 independent of the constant-propagation code, so the two can act as
@@ -17,6 +34,9 @@ cross-checks on each other.
 
 from __future__ import annotations
 
+import functools
+import heapq
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -72,28 +92,57 @@ def rotation_unitary(name: str, theta: float) -> np.ndarray:
     raise OracleError(f"unknown parametrized gate {name}")
 
 
-def _apply_unitary(state, n, unitary, qubits):
-    k = len(qubits)
-    t = state.reshape([2] * n)
-    t = np.moveaxis(t, qubits, range(k))
-    shape = t.shape
-    t = unitary @ t.reshape(2**k, -1)
-    t = np.moveaxis(t.reshape(shape), range(k), qubits)
-    return np.ascontiguousarray(t).reshape(-1)
+@functools.lru_cache(maxsize=None)
+def _axes(n: int, qubits: tuple) -> tuple:
+    """Tensor shape of an n-qubit factor, the axis permutation that brings
+    ``qubits`` to the front (the column axis stays last) and its inverse."""
+    perm = (*qubits, *(q for q in range(n) if q not in qubits), n)
+    inverse = tuple(perm.index(axis) for axis in range(n + 1))
+    return (2,) * n, perm, inverse
 
 
-def _outcome_probability(state, n, qubit, outcome):
-    t = state.reshape([2] * n)
-    slice_ = np.take(t, outcome, axis=qubit)
-    return float(np.real(np.vdot(slice_, slice_)))
+def _apply_unitary(factor, n, unitary, qubits):
+    """``unitary`` on ``qubits`` of every column of ``factor`` (2**n x r)."""
+    shape, perm, inverse = _axes(n, qubits)
+    t = factor.reshape(shape + (factor.shape[1],)).transpose(perm)
+    permuted = t.shape
+    t = unitary @ t.reshape(unitary.shape[0], -1)
+    return t.reshape(permuted).transpose(inverse).reshape(factor.shape)
 
 
-def _collapse(state, n, qubit, outcome, probability):
-    t = state.reshape([2] * n).copy()
-    index = [slice(None)] * n
-    index[qubit] = 1 - outcome
-    t[tuple(index)] = 0
-    return t.reshape(-1) / math.sqrt(probability)
+def _mass(factor) -> float:
+    """Trace of V Vᴴ: the probability a configuration carries."""
+    return float(np.vdot(factor, factor).real)
+
+
+def _compact(factor, dim):
+    """Drop all-zero columns; refactor a factor wider than ``dim`` to
+    ``dim`` columns.  With Vᴴ = QR, V Vᴴ = Rᴴ R, so V ← Rᴴ is exact."""
+    if factor.shape[1] == 1:
+        return factor
+    nonzero = factor.any(axis=0)
+    if not nonzero.all():
+        factor = factor[:, nonzero]
+    if factor.shape[1] > dim:
+        factor = np.linalg.qr(factor.conj().T, mode="r").conj().T
+    return factor
+
+
+def _project(factor, qubit, outcome):
+    """The rows of ``factor`` where ``qubit`` reads ``outcome``; the other
+    rows are zero."""
+    t = factor.reshape(1 << qubit, 2, -1)
+    part = np.zeros_like(t)
+    part[:, outcome] = t[:, outcome]
+    return part.reshape(factor.shape)
+
+
+def _reset(factor, qubit):
+    """[P0·V | X·P1·V]: ``qubit`` back to |0> in every column."""
+    t = factor.reshape(1 << qubit, 2, -1, factor.shape[1])
+    out = np.zeros(t.shape[:3] + (2 * t.shape[3],), dtype=complex)
+    out[:, 0] = np.concatenate((t[:, 0], t[:, 1]), axis=-1)
+    return out.reshape(factor.shape[0], -1)
 
 
 @dataclass(frozen=True)
@@ -225,7 +274,7 @@ def run(
     max_steps: int = 10_000,
     prune_epsilon: float = 1e-12,
 ) -> ReadoutDistribution:
-    """Execute every branch of the program and tally readout outcomes."""
+    """Execute every configuration of the program and tally readout outcomes."""
     if readout is None:
         readout = program.default_readout()
     for name in readout:
@@ -237,27 +286,48 @@ def run(
         raise OracleError(
             f"program touches {n} qubits; the oracle supports at most {MAX_QUBITS}"
         )
-    kinds = {d.name: d.kind for d in program.regions.values()}
+    regions = program.regions
+    kinds = {d.name: d.kind for d in regions.values()}
+    names = tuple(regions)
     labels = program.labels
+    joins = frozenset(labels.values())
     code = program.instructions
-    dim = 2**n if n else 1
-
-    initial = np.zeros(dim, dtype=complex)
-    initial[0] = 1.0
+    dim = 2**n
+    gates: dict = {}  # position -> unitary of a gate with literal parameters
 
     probabilities: dict = {}
     truncated = 0.0
-    # Stack entries: (statevector, memory, program counter, probability,
-    # executed instruction count).  Outcome-0 branches are pushed last so
-    # they are explored first.
-    stack = [(initial, _zero_memory(program), 0, 1.0, 0)]
+    # (pc, memory as a tuple of region tuples) -> [factor, executed
+    # instruction count]; the heap orders those keys by (pc, insertion).
+    # Equal region tuples are shared between keys, to keep them small.
+    pending: dict = {}
+    heap: list = []
+    order = itertools.count()
+    shared: dict = {}
 
-    while stack:
-        state, memory, pc, prob, steps = stack.pop()
-        finished = False
+    def push(pc, memory, factor, steps):
+        cells = tuple(shared.setdefault(v, v) for v in map(tuple, memory.values()))
+        key = (pc, cells)
+        entry = pending.get(key)
+        if entry is None:
+            pending[key] = [factor, steps]
+            heapq.heappush(heap, (pc, next(order), key))
+        else:
+            entry[0] = _compact(np.concatenate((entry[0], factor), axis=1), dim)
+            entry[1] = max(entry[1], steps)
+
+    initial = np.zeros((dim, 1), dtype=complex)
+    initial[0, 0] = 1.0
+    push(0, _zero_memory(program), initial, 0)
+
+    while heap:
+        pc, _, key = heapq.heappop(heap)
+        factor, steps = pending.pop(key)
+        memory = {name: list(values) for name, values in zip(names, key[1])}
         while pc < len(code):
             if steps >= max_steps:
-                truncated += prob
+                truncated += _mass(factor)
+                factor = None
                 break
             instr = code[pc]
             steps += 1
@@ -270,61 +340,42 @@ def run(
                     raise OracleError(f"position {pc}: {exc}") from None
                 pc += 1
             elif isinstance(instr, ir.Gate):
-                unitary = (
-                    FIXED_UNITARIES[instr.name]
-                    if not instr.params
-                    else rotation_unitary(instr.name, float(instr.params[0]))
-                )
-                state = _apply_unitary(state, n, unitary, list(instr.qubits))
+                unitary = gates.get(pc)
+                if unitary is None:
+                    unitary = gates[pc] = (
+                        FIXED_UNITARIES[instr.name]
+                        if not instr.params
+                        else rotation_unitary(instr.name, float(instr.params[0]))
+                    )
+                factor = _apply_unitary(factor, n, unitary, instr.qubits)
                 pc += 1
             elif isinstance(instr, ir.ParamGate):
                 theta = _angle(_read(memory, instr.params[0]), pc)
                 unitary = rotation_unitary(instr.name, theta)
-                state = _apply_unitary(state, n, unitary, list(instr.qubits))
+                factor = _apply_unitary(factor, n, unitary, instr.qubits)
                 pc += 1
             elif isinstance(instr, ir.Measure):
-                branches = []
-                for outcome in (1, 0):
-                    p = _outcome_probability(state, n, instr.qubit, outcome)
-                    child_prob = prob * p
-                    if child_prob <= prune_epsilon:
-                        truncated += child_prob
+                for outcome in (0, 1):
+                    part = _project(factor, instr.qubit, outcome)
+                    mass = _mass(part)
+                    if mass <= prune_epsilon or not mass:
+                        truncated += mass
                         continue
-                    child_state = _collapse(state, n, instr.qubit, outcome, p)
-                    child_memory = {r: list(v) for r, v in memory.items()}
+                    child = memory
                     if instr.target is not None:
-                        _write(child_memory, kinds, instr.target, outcome)
-                    branches.append(
-                        (child_state, child_memory, pc + 1, child_prob, steps)
-                    )
-                stack.extend(branches)
+                        child = {r: list(v) for r, v in memory.items()}
+                        _write(child, kinds, instr.target, outcome)
+                    push(pc + 1, child, _compact(part, dim), steps)
+                factor = None
                 break
             elif isinstance(instr, ir.Reset):
-                qubits = (
-                    range(n) if instr.qubit is None else (instr.qubit,)
-                )
-                branches = [(state, prob)]
-                for q in qubits:
-                    next_branches = []
-                    for st, pr in branches:
-                        for outcome in (1, 0):
-                            p = _outcome_probability(st, n, q, outcome)
-                            child_prob = pr * p
-                            if child_prob <= prune_epsilon:
-                                truncated += child_prob
-                                continue
-                            child = _collapse(st, n, q, outcome, p)
-                            if outcome == 1:
-                                child = _apply_unitary(
-                                    child, n, FIXED_UNITARIES["X"], [q]
-                                )
-                            next_branches.append((child, child_prob))
-                    branches = next_branches
-                stack.extend(
-                    (st, {r: list(v) for r, v in memory.items()}, pc + 1, pr, steps)
-                    for st, pr in branches
-                )
-                break
+                if instr.qubit is None:
+                    mass = _mass(factor)
+                    factor = np.zeros((dim, 1), dtype=complex)
+                    factor[0, 0] = math.sqrt(mass)
+                else:
+                    factor = _compact(_reset(factor, instr.qubit), dim)
+                pc += 1
             elif isinstance(instr, ir.Jump):
                 pc = labels[instr.target]
             elif isinstance(instr, ir.JumpWhen):
@@ -334,15 +385,16 @@ def run(
                 taken = _read(memory, instr.condition) == 0
                 pc = labels[instr.target] if taken else pc + 1
             elif isinstance(instr, ir.Halt):
-                finished = True
                 break
             else:  # pragma: no cover
                 raise OracleError(f"cannot execute {instr!r}")
-        else:
-            finished = True
-        if finished:
+            if pc in joins:
+                push(pc, memory, factor, steps)
+                factor = None
+                break
+        if factor is not None:  # ran off the end or halted
             key = _readout_key(memory, readout)
-            probabilities[key] = probabilities.get(key, 0.0) + prob
+            probabilities[key] = probabilities.get(key, 0.0) + _mass(factor)
 
     return ReadoutDistribution(probabilities, truncated)
 

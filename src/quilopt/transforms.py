@@ -38,9 +38,16 @@ class FoldDiagnostic:
 
 def _literal(value):
     """``value`` when it can be written back as a source literal: never a
-    non-finite float, which would not parse again."""
+    non-finite float, which would not parse again, nor an int with more
+    digits than ``sys.get_int_max_str_digits()``, which ``ir.emit`` cannot
+    write."""
     if isinstance(value, float) and not math.isfinite(value):
         return None
+    if isinstance(value, int) and value.bit_length() > 64:
+        try:
+            repr(value)
+        except ValueError:
+            return None
     return value
 
 
@@ -123,6 +130,7 @@ def constant_fold(program: ir.Program):
         for pos in ddg.path:
             owners[pos] = owners.get(pos, 0) + 1
 
+    regions = program.regions
     new_instructions = list(program.instructions)
     diagnostics: list[FoldDiagnostic] = []
     for ddg in ddgs:
@@ -133,7 +141,7 @@ def constant_fold(program: ir.Program):
             instr = new_instructions[pos]
             cells = facts.cells_before[k]
             if isinstance(instr, ir.Classical):
-                folded, problem = _fold_classical(instr, program.regions, cells)
+                folded, problem = _fold_classical(instr, regions, cells)
                 new_instructions[pos] = folded
                 if problem is not None:
                     diagnostics.append(FoldDiagnostic(pos, problem))

@@ -142,3 +142,60 @@ def random_program(rng: random.Random, max_jumps: int = 2) -> ir.Program:
     program = ir.Program(tuple(declares) + tuple(body))
     ir.validate(program)
     return program
+
+
+def random_retry_program(rng: random.Random, max_blocks: int = 2) -> ir.Program:
+    """Chained repeat-until-success loops, each a backward JUMP-WHEN on a
+    freshly measured ancilla bit.
+
+    Each block resets the ancilla inside the loop, rotates it by a random
+    angle, runs a random body on the data qubits, entangles the ancilla
+    with one of them and measures it, so every iteration retries with
+    probability sin²(angle / 2).  Loop bodies never touch the ancilla,
+    never fork (no MEASURE or RESET) and never multiply a cell by a cell,
+    which would square its value on every iteration; a forking body would
+    split every branch of a branch-per-outcome executor once per
+    iteration.  The prelude before the first loop may measure and reset.
+    """
+    n_extra = rng.randint(0, len(REGION_POOL) - 1)
+    chosen = [REGION_POOL[0]] + rng.sample(REGION_POOL[1:], n_extra)
+    declares = [ir.Declare(name, kind, size) for name, kind, size in chosen]
+    n_data = rng.randint(1, 3)
+    ancilla = n_data
+    blocks = rng.randint(1, max_blocks)
+
+    def loop_instruction() -> ir.Instruction:
+        while True:
+            instr = _random_instruction(rng, n_data, declares)
+            forks = isinstance(instr, (ir.Measure, ir.Reset))
+            squares = (
+                isinstance(instr, ir.Classical)
+                and instr.op == "MUL"
+                and isinstance(instr.operands[1], ir.MemoryRef)
+            )
+            if not forks and not squares:
+                return instr
+
+    body: list[ir.Instruction] = [
+        _random_instruction(rng, n_data, declares) for _ in range(rng.randint(0, 4))
+    ]
+    for b in range(blocks):
+        bit = ir.MemoryRef("flag", b)
+        angle = round(rng.uniform(0.5, 1.6), 3)
+        body += [
+            ir.Label(f"retry{b}"),
+            ir.Reset(ancilla),
+            ir.Gate("RY", (angle,), (ancilla,)),
+        ]
+        body += [loop_instruction() for _ in range(rng.randint(1, 5))]
+        body += [
+            ir.Gate("CNOT", (), (ancilla, rng.randrange(n_data))),
+            ir.Measure(ancilla, bit),
+            ir.JumpWhen(f"retry{b}", bit),
+        ]
+    body.append(ir.Measure(rng.randrange(n_data), ir.MemoryRef("ro", 0)))
+
+    flag = ir.Declare("flag", "BIT", blocks)
+    program = ir.Program(tuple(declares) + (flag,) + tuple(body))
+    ir.validate(program)
+    return program

@@ -1,13 +1,133 @@
-"""Tests for the branching-statevector reference interpreter."""
+"""Tests for the merged-configuration reference interpreter.
 
+``reference_run`` is the earlier branch-per-outcome executor: one pure
+statevector per branch, forked at every MEASURE and RESET and walked depth
+first.  It shares the classical semantics with ``oracle`` but none of its
+quantum state handling, and ``oracle.run`` must agree with it.
+"""
+
+import math
 import random
+import time
 
+import numpy as np
 import pytest
 
-from quilopt import ir, oracle
-from quilopt.fixtures import fixture_program
+from quilopt import ir, oracle, transforms
+from quilopt.fixtures import WORKLOADS, fixture_program
 
-from conftest import random_program
+from conftest import random_program, random_retry_program
+
+
+def _reference_apply(state, n, unitary, qubits):
+    k = len(qubits)
+    t = state.reshape([2] * n)
+    t = np.moveaxis(t, qubits, range(k))
+    shape = t.shape
+    t = unitary @ t.reshape(2**k, -1)
+    t = np.moveaxis(t.reshape(shape), range(k), qubits)
+    return np.ascontiguousarray(t).reshape(-1)
+
+
+def _outcome_probability(state, n, qubit, outcome):
+    slice_ = np.take(state.reshape([2] * n), outcome, axis=qubit)
+    return float(np.real(np.vdot(slice_, slice_)))
+
+
+def _collapse(state, n, qubit, outcome, probability):
+    t = state.reshape([2] * n).copy()
+    index = [slice(None)] * n
+    index[qubit] = 1 - outcome
+    t[tuple(index)] = 0
+    return t.reshape(-1) / math.sqrt(probability)
+
+
+def reference_run(program, readout=None, *, max_steps=10_000, prune_epsilon=1e-12):
+    """Branch-per-outcome execution; a branch whose probability is at most
+    ``prune_epsilon`` or that runs ``max_steps`` instructions is truncated."""
+    if readout is None:
+        readout = program.default_readout()
+    n = oracle._qubit_count(program)
+    kinds = {d.name: d.kind for d in program.regions.values()}
+    labels = program.labels
+    code = program.instructions
+    initial = np.zeros(2**n, dtype=complex)
+    initial[0] = 1.0
+
+    probabilities: dict = {}
+    truncated = 0.0
+    # (statevector, memory, pc, probability, executed instruction count);
+    # outcome-0 branches are pushed last so they are explored first.
+    stack = [(initial, oracle._zero_memory(program), 0, 1.0, 0)]
+    while stack:
+        state, memory, pc, prob, steps = stack.pop()
+        finished = False
+        while pc < len(code):
+            if steps >= max_steps:
+                truncated += prob
+                break
+            instr = code[pc]
+            steps += 1
+            if isinstance(instr, (ir.Declare, ir.Label)):
+                pc += 1
+            elif isinstance(instr, ir.Classical):
+                oracle._run_classical(instr, memory, kinds)
+                pc += 1
+            elif isinstance(instr, (ir.Gate, ir.ParamGate)):
+                if isinstance(instr, ir.ParamGate):
+                    theta = oracle._angle(oracle._read(memory, instr.params[0]), pc)
+                    unitary = oracle.rotation_unitary(instr.name, theta)
+                elif instr.params:
+                    theta = float(instr.params[0])
+                    unitary = oracle.rotation_unitary(instr.name, theta)
+                else:
+                    unitary = oracle.FIXED_UNITARIES[instr.name]
+                state = _reference_apply(state, n, unitary, list(instr.qubits))
+                pc += 1
+            elif isinstance(instr, (ir.Measure, ir.Reset)):
+                if isinstance(instr, ir.Measure) or instr.qubit is not None:
+                    qubits = (instr.qubit,)
+                else:
+                    qubits = range(n)
+                # (state, probability, outcome of the last qubit)
+                branches = [(state, prob, None)]
+                for q in qubits:
+                    forked = []
+                    for st, pr, _ in branches:
+                        for outcome in (1, 0):
+                            p = _outcome_probability(st, n, q, outcome)
+                            if pr * p <= prune_epsilon:
+                                truncated += pr * p
+                                continue
+                            child = _collapse(st, n, q, outcome, p)
+                            if isinstance(instr, ir.Reset) and outcome == 1:
+                                x = oracle.FIXED_UNITARIES["X"]
+                                child = _reference_apply(child, n, x, [q])
+                            forked.append((child, pr * p, outcome))
+                    branches = forked
+                for st, pr, outcome in branches:
+                    child_memory = {r: list(v) for r, v in memory.items()}
+                    if isinstance(instr, ir.Measure) and instr.target is not None:
+                        oracle._write(child_memory, kinds, instr.target, outcome)
+                    stack.append((st, child_memory, pc + 1, pr, steps))
+                break
+            elif isinstance(instr, ir.Jump):
+                pc = labels[instr.target]
+            elif isinstance(instr, ir.JumpWhen):
+                taken = oracle._read(memory, instr.condition) != 0
+                pc = labels[instr.target] if taken else pc + 1
+            elif isinstance(instr, ir.JumpUnless):
+                taken = oracle._read(memory, instr.condition) == 0
+                pc = labels[instr.target] if taken else pc + 1
+            elif isinstance(instr, ir.Halt):
+                finished = True
+                break
+        else:
+            finished = True
+        if finished:
+            key = oracle._readout_key(memory, readout)
+            probabilities[key] = probabilities.get(key, 0.0) + prob
+    return oracle.ReadoutDistribution(probabilities, truncated)
 
 
 def _dist(text, readout=None, **kwargs):
@@ -257,3 +377,166 @@ class TestEquivalence:
         b = ir.parse("DECLARE ro BIT\nX 0\nMEASURE 0 ro\n")
         with pytest.raises(ir.ValidationError):
             oracle.equivalent(a, b)
+
+
+def _agree(program, tol, **kwargs):
+    got = oracle.run(program, **kwargs)
+    want = reference_run(program, **kwargs)
+    assert got.distance(want) <= tol
+    assert abs(got.truncated_mass - want.truncated_mass) <= tol
+    return got
+
+
+class TestReferenceAgreement:
+    @pytest.mark.parametrize("name", WORKLOADS)
+    def test_fixtures(self, name):
+        _agree(fixture_program(name), 1e-12)
+
+    def test_random_programs(self):
+        for seed in range(200):
+            _agree(random_program(random.Random(seed)), 1e-9)
+
+    def test_retry_loops(self):
+        # The reference prunes every branch of at most 1e-12 separately,
+        # thousands of them per program; merged configurations are pruned
+        # as a whole, so the two differ by up to about 1e-10 here.
+        for seed in range(100):
+            _agree(random_retry_program(random.Random(seed)), 1e-9)
+
+    @pytest.mark.parametrize(
+        "text, kwargs",
+        [
+            pytest.param(
+                "DECLARE ro BIT[2]\nH 0\nCNOT 0 1\nRY(0.4) 1\nRESET\nX 1\n"
+                "MEASURE 0 ro[0]\nMEASURE 1 ro[1]\n",
+                {},
+                id="bare-reset",
+            ),
+            pytest.param(
+                "DECLARE ro BIT\nX 0\nRESET 0\nMEASURE 0 ro\n", {}, id="reset-of-one"
+            ),
+            pytest.param(
+                "DECLARE ro BIT\nH 0\nCNOT 0 1\nRESET 0\nH 0\nCNOT 0 1\n"
+                "MEASURE 1 ro\n",
+                {},
+                id="reset-of-entangled",
+            ),
+            pytest.param(
+                "DECLARE ro BIT\nDECLARE f BIT\nLABEL @top\nRESET 0\nRY(1.1) 0\n"
+                "MEASURE 0 f\nJUMP-UNLESS @next f\nX 1\nMEASURE 1 ro\nHALT\n"
+                "LABEL @next\nH 1\nMEASURE 1 ro\nJUMP-WHEN @top ro\n",
+                {},
+                id="halt-in-loop",
+            ),
+            pytest.param(
+                "DECLARE a BIT\nLABEL @spin\nJUMP @spin\n",
+                {"max_steps": 64},
+                id="spin-loop",
+            ),
+            pytest.param(
+                "DECLARE ro BIT\nH 0\nMEASURE 0 ro\n",
+                {"prune_epsilon": 0.75},
+                id="prune-everything",
+            ),
+        ],
+    )
+    def test_hand_written(self, text, kwargs):
+        _agree(ir.parse(text), 1e-12, **kwargs)
+
+    @pytest.mark.parametrize("name", WORKLOADS)
+    def test_same_verdict_for_every_pass(self, name):
+        program = fixture_program(name)
+        want = reference_run(program)
+        for pass_name in transforms.PASS_PAIRS:
+            optimized = transforms.apply_pass(program, pass_name)
+            got = reference_run(optimized)
+            reference_ok = (
+                want.distance(got) <= 1e-9
+                and want.truncated_mass <= 1e-9
+                and got.truncated_mass <= 1e-9
+            )
+            ok, _ = oracle.equivalent(program, optimized)
+            assert ok == reference_ok, pass_name
+
+
+class TestFactor:
+    def test_compact_drops_zero_columns_and_refactors_exactly(self):
+        rng = np.random.default_rng(7)
+        wide = rng.normal(size=(4, 9)) + 1j * rng.normal(size=(4, 9))
+        wide[:, 3] = 0
+        narrow = oracle._compact(wide, 4)
+        assert narrow.shape == (4, 4)
+        assert np.allclose(narrow @ narrow.conj().T, wide @ wide.conj().T, atol=1e-12)
+        thin = oracle._compact(wide[:, :5], 4)
+        assert thin.shape == (4, 4)  # only the zero column went
+
+    def test_never_wider_than_the_state_space(self, monkeypatch):
+        widths = []  # (columns, 2**n) of every factor a gate is applied to
+        compacted = []  # columns going into a compaction, against 2**n
+        apply, compact = oracle._apply_unitary, oracle._compact
+
+        def recording_apply(factor, n, unitary, qubits):
+            widths.append((factor.shape[1], 2**n))
+            return apply(factor, n, unitary, qubits)
+
+        def recording_compact(factor, dim):
+            compacted.append((factor.shape[1], dim))
+            return compact(factor, dim)
+
+        monkeypatch.setattr(oracle, "_apply_unitary", recording_apply)
+        monkeypatch.setattr(oracle, "_compact", recording_compact)
+        # Untargeted measurements merge both outcomes into one mixed
+        # configuration, and the reset of a mixed qubit doubles its width.
+        mixing = ir.parse(
+            "DECLARE ro BIT\nH 0\nMEASURE 0\nRY(0.3) 0\nRESET 0\nRY(0.9) 0\n"
+            "MEASURE 0\nRX(0.5) 0\nRESET 0\nH 0\nMEASURE 0 ro\n"
+        )
+        oracle.run(mixing)
+        assert any(columns > dim for columns, dim in compacted)
+        assert max(columns for columns, _ in widths) == 2
+        programs = [random_retry_program(random.Random(s)) for s in range(30)]
+        programs += [random_program(random.Random(s)) for s in range(60)]
+        for program in programs:
+            oracle.run(program)
+        assert all(columns <= dim for columns, dim in widths)
+
+    def test_chained_loops_merge_at_the_second_head(self, monkeypatch):
+        # Every exit of the first loop reaches @b with the same memory, so
+        # the second loop runs once on their merged state: gate work grows
+        # with the sum of the two loops' iterations, not their product.
+        program = ir.parse(
+            "DECLARE ro BIT\nDECLARE f BIT[2]\n"
+            "LABEL @a\nRESET 1\nH 1\nCNOT 1 0\nMEASURE 1 f[0]\nJUMP-WHEN @a f[0]\n"
+            "LABEL @b\nRESET 1\nH 1\nCNOT 1 0\nMEASURE 1 f[1]\nJUMP-WHEN @b f[1]\n"
+            "MEASURE 0 ro\n"
+        )
+        calls = []
+        apply = oracle._apply_unitary
+
+        def counting_apply(*args):
+            calls.append(args)
+            return apply(*args)
+
+        monkeypatch.setattr(oracle, "_apply_unitary", counting_apply)
+        _agree(program, 1e-9)
+        # About 40 iterations per loop until a retry is below 1e-12.
+        assert len(calls) <= 2 * 2 * 45
+
+    def test_ten_qubits_cost_no_more_than_the_reference(self):
+        text = "DECLARE ro BIT[3]\n"
+        text += "".join(f"H {q}\n" for q in range(10))
+        text += "".join(f"CNOT {q} {q + 1}\n" for q in range(9))
+        text += "".join(f"RZ({0.1 * (q + 1)!r}) {q}\n" for q in range(10))
+        text += "".join(f"MEASURE {q} ro[{q}]\n" for q in range(3))
+        program = ir.parse(text)
+
+        def best(run):
+            times = []
+            for _ in range(7):
+                start = time.perf_counter()
+                run(program)
+                times.append(time.perf_counter() - start)
+            return min(times)
+
+        assert _agree(program, 1e-12).truncated_mass == 0.0
+        assert best(oracle.run) <= 2 * best(reference_run)

@@ -71,6 +71,23 @@ class TestConstantFold:
         assert isinstance(folded.instructions[-1], ir.ParamGate)
         assert ir.parse(ir.emit(folded)) == folded
 
+    def test_never_folds_to_an_integer_emit_cannot_write(self):
+        # 10**(2**13) has 8,193 digits, past the 4,300 that int <-> str
+        # conversion allows: the last square stays a MUL (of a by its
+        # known 4,097-digit value), and nothing folds to its result.
+        program = ir.parse(
+            "DECLARE a INTEGER\nMOVE a 10\n" + "MUL a a\n" * 13
+        )
+        folded, _ = transforms.constant_fold(program)
+        big = 10 ** (2**12)
+        assert folded.instructions[-2] == ir.Classical(
+            "MOVE", (ir.MemoryRef("a", 0), big)
+        )
+        assert folded.instructions[-1] == ir.Classical(
+            "MUL", (ir.MemoryRef("a", 0), big)
+        )
+        assert ir.parse(ir.emit(folded)) == folded
+
     def test_all_constant_operation_becomes_move(self):
         program = ir.parse(
             "DECLARE a INTEGER\nDECLARE b INTEGER\n"
