@@ -94,8 +94,16 @@ def rotation_unitary(name: str, theta: float) -> np.ndarray:
 
 @functools.lru_cache(maxsize=None)
 def _axes(n: int, qubits: tuple) -> tuple:
-    """Tensor shape of an n-qubit factor, the axis permutation that brings
-    ``qubits`` to the front (the column axis stays last) and its inverse."""
+    """How ``_apply_unitary`` reaches ``qubits`` of an n-qubit factor.
+
+    Adjacent ascending qubits need no permutation: the factor is viewed
+    as (2**first, 2**k, rest) and the unitary broadcast over the outer
+    axis.  Otherwise the tensor shape, the axis permutation that brings
+    ``qubits`` to the front (the column axis stays last) and its inverse.
+    """
+    k = len(qubits)
+    if qubits == tuple(range(qubits[0], qubits[0] + k)):
+        return (1 << qubits[0], 1 << k, -1), None, None
     perm = (*qubits, *(q for q in range(n) if q not in qubits), n)
     inverse = tuple(perm.index(axis) for axis in range(n + 1))
     return (2,) * n, perm, inverse
@@ -104,6 +112,8 @@ def _axes(n: int, qubits: tuple) -> tuple:
 def _apply_unitary(factor, n, unitary, qubits):
     """``unitary`` on ``qubits`` of every column of ``factor`` (2**n x r)."""
     shape, perm, inverse = _axes(n, qubits)
+    if perm is None:
+        return (unitary @ factor.reshape(shape)).reshape(factor.shape)
     t = factor.reshape(shape + (factor.shape[1],)).transpose(perm)
     permuted = t.shape
     t = unitary @ t.reshape(unitary.shape[0], -1)
@@ -116,32 +126,34 @@ def _mass(factor) -> float:
 
 
 def _compact(factor, dim):
-    """Drop all-zero columns; refactor a factor wider than ``dim`` to
-    ``dim`` columns.  With Vᴴ = QR, V Vᴴ = Rᴴ R, so V ← Rᴴ is exact."""
-    if factor.shape[1] == 1:
+    """``factor`` with at most ``dim`` columns for the same V Vᴴ: with
+    Vᴴ = QR, V Vᴴ = Rᴴ R, so a wider V is replaced by Rᴴ, less the
+    columns that are exactly zero (R of a rank-deficient V can have some)."""
+    if factor.shape[1] <= dim:
         return factor
-    nonzero = factor.any(axis=0)
-    if not nonzero.all():
-        factor = factor[:, nonzero]
-    if factor.shape[1] > dim:
-        factor = np.linalg.qr(factor.conj().T, mode="r").conj().T
-    return factor
+    factor = np.linalg.qr(factor.conj().T, mode="r").conj().T
+    return factor[:, factor.any(axis=0)]
 
 
 def _project(factor, qubit, outcome):
     """The rows of ``factor`` where ``qubit`` reads ``outcome``; the other
     rows are zero."""
-    t = factor.reshape(1 << qubit, 2, -1)
-    part = np.zeros_like(t)
-    part[:, outcome] = t[:, outcome]
+    part = factor.reshape(1 << qubit, 2, -1).copy()
+    part[:, 1 - outcome] = 0
     return part.reshape(factor.shape)
 
 
 def _reset(factor, qubit):
-    """[P0·V | X·P1·V]: ``qubit`` back to |0> in every column."""
+    """[P0·V | X·P1·V]: ``qubit`` back to |0> in every column.  All-zero
+    columns are left out, so a block that is exactly zero, as after
+    measuring the qubit, adds none."""
     t = factor.reshape(1 << qubit, 2, -1, factor.shape[1])
-    out = np.zeros(t.shape[:3] + (2 * t.shape[3],), dtype=complex)
-    out[:, 0] = np.concatenate((t[:, 0], t[:, 1]), axis=-1)
+    if not t[:, 1].any():
+        return factor
+    stacked = np.concatenate((t[:, 0], t[:, 1]), axis=-1)
+    kept = stacked[..., stacked.any(axis=(0, 1))]
+    out = np.zeros(t.shape[:3] + kept.shape[-1:], dtype=complex)
+    out[:, 0] = kept
     return out.reshape(factor.shape[0], -1)
 
 
@@ -299,15 +311,12 @@ def run(
     truncated = 0.0
     # (pc, memory as a tuple of region tuples) -> [factor, executed
     # instruction count]; the heap orders those keys by (pc, insertion).
-    # Equal region tuples are shared between keys, to keep them small.
     pending: dict = {}
     heap: list = []
     order = itertools.count()
-    shared: dict = {}
 
     def push(pc, memory, factor, steps):
-        cells = tuple(shared.setdefault(v, v) for v in map(tuple, memory.values()))
-        key = (pc, cells)
+        key = (pc, tuple(map(tuple, memory.values())))
         entry = pending.get(key)
         if entry is None:
             pending[key] = [factor, steps]
@@ -365,7 +374,7 @@ def run(
                     if instr.target is not None:
                         child = {r: list(v) for r, v in memory.items()}
                         _write(child, kinds, instr.target, outcome)
-                    push(pc + 1, child, _compact(part, dim), steps)
+                    push(pc + 1, child, part, steps)
                 factor = None
                 break
             elif isinstance(instr, ir.Reset):

@@ -460,15 +460,35 @@ class TestReferenceAgreement:
 
 
 class TestFactor:
-    def test_compact_drops_zero_columns_and_refactors_exactly(self):
+    def test_compact_refactors_exactly(self):
         rng = np.random.default_rng(7)
         wide = rng.normal(size=(4, 9)) + 1j * rng.normal(size=(4, 9))
-        wide[:, 3] = 0
         narrow = oracle._compact(wide, 4)
         assert narrow.shape == (4, 4)
         assert np.allclose(narrow @ narrow.conj().T, wide @ wide.conj().T, atol=1e-12)
-        thin = oracle._compact(wide[:, :5], 4)
-        assert thin.shape == (4, 4)  # only the zero column went
+        square = wide[:, :4]
+        assert oracle._compact(square, 4) is square
+
+    @pytest.mark.parametrize(
+        "prepare, columns",
+        [("", 1), ("X 0\n", 1), ("H 0\n", 2), ("H 0\nMEASURE 0\n", 2)],
+    )
+    def test_reset_leaves_out_zero_columns(self, prepare, columns, monkeypatch):
+        # |0> and |1> each fill one block; |+> fills both; after an
+        # untargeted measurement the two merged outcomes fill one each.
+        widths = []
+        reset = oracle._reset
+
+        def recording_reset(factor, qubit):
+            out = reset(factor, qubit)
+            widths.append(out.shape[1])
+            return out
+
+        monkeypatch.setattr(oracle, "_reset", recording_reset)
+        text = "DECLARE ro BIT\n" + prepare + "RESET 0\nMEASURE 0 ro\n"
+        d = oracle.run(ir.parse(text))
+        assert d.probabilities == {_key(ro=(0,)): pytest.approx(1.0)}
+        assert widths == [columns]
 
     def test_never_wider_than_the_state_space(self, monkeypatch):
         widths = []  # (columns, 2**n) of every factor a gate is applied to
