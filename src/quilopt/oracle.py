@@ -305,7 +305,6 @@ def run(
     joins = frozenset(labels.values())
     code = program.instructions
     dim = 2**n
-    gates: dict = {}  # position -> unitary of a gate with literal parameters
 
     probabilities: dict = {}
     truncated = 0.0
@@ -349,13 +348,11 @@ def run(
                     raise OracleError(f"position {pc}: {exc}") from None
                 pc += 1
             elif isinstance(instr, ir.Gate):
-                unitary = gates.get(pc)
-                if unitary is None:
-                    unitary = gates[pc] = (
-                        FIXED_UNITARIES[instr.name]
-                        if not instr.params
-                        else rotation_unitary(instr.name, float(instr.params[0]))
-                    )
+                unitary = (
+                    FIXED_UNITARIES[instr.name]
+                    if not instr.params
+                    else rotation_unitary(instr.name, float(instr.params[0]))
+                )
                 factor = _apply_unitary(factor, n, unitary, instr.qubits)
                 pc += 1
             elif isinstance(instr, ir.ParamGate):
