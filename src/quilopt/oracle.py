@@ -16,9 +16,13 @@ a factor ``V`` of shape 2**n x r (r = 1 for a pure state).
   factor wider than 2**n is refactored to 2**n columns (V <- Rᴴ, where
   Vᴴ = QR), so a step never costs more than one on a density matrix.
 
-Pending configurations are expanded lowest pc first (ties in insertion
-order), so that paths meet and merge before they run on, and the result
-is deterministic.  It is the exact joint distribution over the readout
+Configurations waiting at a label, where control paths join, are
+expanded lowest pc first (ties in insertion order), so that paths meet
+and merge there before they run on.  Measurement outcomes are expanded
+before them, last in first out, as in a depth-first search: held back in
+pc order, the outcomes past a program's last label would all wait until
+every loop before it had finished.  The order is fixed, so every run
+gives the same result: the exact joint distribution over the readout
 regions' final contents, which optimization passes must preserve.
 
 A measurement outcome whose probability is at most ``prune_epsilon``, and
@@ -309,7 +313,8 @@ def run(
     probabilities: dict = {}
     truncated = 0.0
     # (pc, memory as a tuple of region tuples) -> [factor, executed
-    # instruction count]; the heap orders those keys by (pc, insertion).
+    # instruction count].  The heap orders those keys: measurement outcomes
+    # last in first out, then configurations at labels by (pc, insertion).
     pending: dict = {}
     heap: list = []
     order = itertools.count()
@@ -319,7 +324,8 @@ def run(
         entry = pending.get(key)
         if entry is None:
             pending[key] = [factor, steps]
-            heapq.heappush(heap, (pc, next(order), key))
+            seq = next(order)
+            heapq.heappush(heap, (pc, seq, key) if pc in joins else (-1, -seq, key))
         else:
             entry[0] = _compact(np.concatenate((entry[0], factor), axis=1), dim)
             entry[1] = max(entry[1], steps)
@@ -329,7 +335,8 @@ def run(
     push(0, _zero_memory(program), initial, 0)
 
     while heap:
-        pc, _, key = heapq.heappop(heap)
+        _, _, key = heapq.heappop(heap)
+        pc = key[0]
         factor, steps = pending.pop(key)
         memory = {name: list(values) for name, values in zip(names, key[1])}
         while pc < len(code):

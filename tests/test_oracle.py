@@ -6,6 +6,7 @@ first.  It shares the classical semantics with ``oracle`` but none of its
 quantum state handling, and ``oracle.run`` must agree with it.
 """
 
+import heapq
 import math
 import random
 import time
@@ -308,6 +309,21 @@ class TestControlFlow:
         assert d.probabilities == {}
         assert d.truncated_mass == pytest.approx(1.0)
 
+    def test_merged_configuration_keeps_the_larger_step_count(self):
+        # The two outcomes reach @join with equal memory after 6 and 11
+        # steps and merge; the merged configuration counts 11, so with a
+        # budget of 13 the final MEASURE (step 14) truncates both halves.
+        text = (
+            "DECLARE m BIT\nDECLARE ro BIT\nH 0\nMEASURE 0 m\n"
+            "JUMP-WHEN @long m\nJUMP @join\n"
+            "LABEL @long\nI 0\nI 0\nI 0\nMOVE m 0\nJUMP @join\n"
+            "LABEL @join\nX 1\nMEASURE 1 ro\n"
+        )
+        assert _dist(text, max_steps=13).truncated_mass == pytest.approx(1.0)
+        full = _dist(text, max_steps=14)
+        assert full.truncated_mass == 0.0
+        assert full.probabilities == {_key(ro=(1,)): pytest.approx(1.0)}
+
     def test_prune_threshold_moves_mass(self):
         d = _dist("DECLARE ro BIT\nH 0\nMEASURE 0 ro\n", prune_epsilon=0.75)
         assert d.probabilities == {}
@@ -541,6 +557,35 @@ class TestFactor:
         _agree(program, 1e-9)
         # About 40 iterations per loop until a retry is below 1e-12.
         assert len(calls) <= 2 * 2 * 45
+
+    def test_outcomes_past_the_last_label_do_not_wait(self, monkeypatch):
+        # Both loop bodies change REAL cells, so no two iterations share a
+        # memory and nothing merges.  Run in pc order, the outcomes of the
+        # final MEASURE would pile up (742 of them) until the second loop
+        # had finished; depth first, few configurations are ever pending.
+        program = ir.parse(
+            "DECLARE ro BIT[2]\nDECLARE theta REAL[2]\nDECLARE flag BIT[2]\n"
+            "RZ(1.25) 0\n"
+            "LABEL @a\nRESET 2\nH 2\nADD theta[1] -0.228\nCNOT 1 0\nCNOT 2 0\n"
+            "MEASURE 2 flag\nJUMP-WHEN @a flag\n"
+            "LABEL @b\nRESET 2\nH 2\nDIV theta 3.818\nDIV theta[1] 2.666\n"
+            "CNOT 2 0\nMEASURE 2 flag[1]\nJUMP-WHEN @b flag[1]\n"
+            "MEASURE 1 ro\nMOVE ro[1] 1\n"
+        )
+        sizes = []
+
+        class RecordingHeap:
+            heappop = staticmethod(heapq.heappop)
+
+            @staticmethod
+            def heappush(heap, item):
+                heapq.heappush(heap, item)
+                sizes.append(len(heap))
+
+        monkeypatch.setattr(oracle, "heapq", RecordingHeap)
+        d = oracle.run(program)
+        assert sum(d.probabilities.values()) + d.truncated_mass == pytest.approx(1.0)
+        assert max(sizes) <= 100
 
     def test_ten_qubits_cost_no_more_than_the_reference(self):
         text = "DECLARE ro BIT[3]\n"
