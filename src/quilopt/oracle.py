@@ -166,8 +166,8 @@ class ReadoutDistribution:
     """Joint distribution over the final contents of readout regions.
 
     Keys are tuples of (region name, tuple of cell values), sorted by
-    region name.  ``truncated_mass`` is the probability lost to pruned or
-    over-long branches.
+    region name.  ``truncated_mass`` is the probability lost to pruned
+    measurement outcomes and over-long configurations.
     """
 
     probabilities: dict

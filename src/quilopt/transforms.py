@@ -43,7 +43,7 @@ def _literal(value):
     write."""
     if isinstance(value, float) and not math.isfinite(value):
         return None
-    if isinstance(value, int) and value.bit_length() > 64:
+    if isinstance(value, int) and value.bit_length() > 64:  # 20 digits or more
         try:
             repr(value)
         except ValueError:
