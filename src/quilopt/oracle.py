@@ -98,27 +98,18 @@ def rotation_unitary(name: str, theta: float) -> np.ndarray:
 
 @functools.lru_cache(maxsize=None)
 def _axes(n: int, qubits: tuple) -> tuple:
-    """How ``_apply_unitary`` reaches ``qubits`` of an n-qubit factor.
-
-    Adjacent ascending qubits need no permutation: the factor is viewed
-    as (2**first, 2**k, rest) and the unitary broadcast over the outer
-    axis.  Otherwise the tensor shape, the axis permutation that brings
-    ``qubits`` to the front (the column axis stays last) and its inverse.
-    """
-    k = len(qubits)
-    if qubits == tuple(range(qubits[0], qubits[0] + k)):
-        return (1 << qubits[0], 1 << k, -1), None, None
+    """The axis permutation that brings ``qubits`` of an n-qubit factor,
+    viewed as a (2,) * n + (r,) tensor, to the front (the column axis
+    stays last), and its inverse."""
     perm = (*qubits, *(q for q in range(n) if q not in qubits), n)
     inverse = tuple(perm.index(axis) for axis in range(n + 1))
-    return (2,) * n, perm, inverse
+    return perm, inverse
 
 
 def _apply_unitary(factor, n, unitary, qubits):
     """``unitary`` on ``qubits`` of every column of ``factor`` (2**n x r)."""
-    shape, perm, inverse = _axes(n, qubits)
-    if perm is None:
-        return (unitary @ factor.reshape(shape)).reshape(factor.shape)
-    t = factor.reshape(shape + (factor.shape[1],)).transpose(perm)
+    perm, inverse = _axes(n, qubits)
+    t = factor.reshape((2,) * n + (factor.shape[1],)).transpose(perm)
     permuted = t.shape
     t = unitary @ t.reshape(unitary.shape[0], -1)
     return t.reshape(permuted).transpose(inverse).reshape(factor.shape)

@@ -1,6 +1,7 @@
 """Tests for the optimization passes."""
 
 import random
+import sys
 
 import pytest
 
@@ -71,7 +72,19 @@ class TestConstantFold:
         assert isinstance(folded.instructions[-1], ir.ParamGate)
         assert ir.parse(ir.emit(folded)) == folded
 
-    def test_never_folds_to_an_integer_emit_cannot_write(self):
+    @pytest.fixture
+    def default_digit_limit(self):
+        """int <-> str conversion pinned at its default limit of 4,300
+        digits, which Python before 3.10.7 lacks and PYTHONINTMAXSTRDIGITS=0
+        turns off."""
+        if not hasattr(sys, "set_int_max_str_digits"):
+            pytest.skip("int <-> str conversion has no digit limit here")
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        yield
+        sys.set_int_max_str_digits(saved)
+
+    def test_never_folds_to_an_integer_emit_cannot_write(self, default_digit_limit):
         # 10**(2**13) has 8,193 digits, past the 4,300 that int <-> str
         # conversion allows: the last square stays a MUL (of a by its
         # known 4,097-digit value), and nothing folds to its result.
