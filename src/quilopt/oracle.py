@@ -15,6 +15,9 @@ a factor ``V`` of shape 2**n x r (r = 1 for a pure state).
   they merge exactly into one by concatenating their factors' columns.  A
   factor wider than 2**n is refactored to 2**n columns (V <- Rᴴ, where
   Vᴴ = QR), so a step never costs more than one on a density matrix.
+  Memory cells that are dead at pc (overwritten or never read again, and
+  not read out) are zeroed before keying, so a value nothing reads later,
+  such as a loop counter, does not keep configurations apart.
 
 Configurations waiting at a label, where control paths join, are
 expanded lowest pc first (ties in insertion order), so that paths meet
@@ -274,6 +277,72 @@ def _readout_key(memory, readout):
     return tuple((name, tuple(memory[name])) for name in sorted(readout))
 
 
+def _dead_cells(program: ir.Program, labels, readout, at) -> dict:
+    """For every pc in ``at``, the cells whose value is overwritten or never
+    read on every path from there (readout regions are read at the end), as
+    (region, index, zero value) triples.
+
+    A configuration's future does not depend on its dead cells, so ``run``
+    zeroes them before keying it on (pc, memory): otherwise a loop that
+    counts in a cell nothing reads after it would leave each exit with its
+    own memory, and every later loop would run once per exit.
+    """
+    code = program.instructions
+    cells = [
+        (d.name, i, 0.0 if d.kind == "REAL" else 0)
+        for d in program.regions.values()
+        for i in range(d.size)
+    ]
+    bit = {(name, i): 1 << k for k, (name, i, _) in enumerate(cells)}
+
+    def mask(refs):
+        found = 0
+        for ref in refs:
+            if isinstance(ref, ir.MemoryRef):
+                found |= bit.get((ref.region, ref.index), 0)
+        return found
+
+    # Per pc: the cells read, the complement of those written, successors.
+    reads, kept, successors = [], [], []
+    for pc, instr in enumerate(code):
+        read, written, following = 0, 0, (pc + 1,)
+        if isinstance(instr, ir.Classical):
+            ops = instr.operands
+            read = mask(ops[1:] if instr.op == "MOVE" else ops)
+            written = mask(ops if instr.op == "EXCHANGE" else ops[:1])
+        elif isinstance(instr, ir.ParamGate):
+            read = mask(instr.params)
+        elif isinstance(instr, ir.Measure):
+            written = mask((instr.target,))
+        elif isinstance(instr, (ir.JumpWhen, ir.JumpUnless)):
+            read = mask((instr.condition,))
+            following = (labels[instr.target], pc + 1)
+        elif isinstance(instr, ir.Jump):
+            following = (labels[instr.target],)
+        elif isinstance(instr, ir.Halt):
+            following = (len(code),)
+        reads.append(read)
+        kept.append(~written)
+        successors.append(following)
+    # Backward liveness as bitsets, to a fixed point.
+    live = [0] * len(code) + [sum(b for (n, _), b in bit.items() if n in readout)]
+    changed = True
+    while changed:
+        changed = False
+        for pc in reversed(range(len(code))):
+            out = 0
+            for successor in successors[pc]:
+                out |= live[successor]
+            now = reads[pc] | out & kept[pc]
+            if now != live[pc]:
+                live[pc] = now
+                changed = True
+    return {
+        pc: [cell for k, cell in enumerate(cells) if not live[pc] >> k & 1]
+        for pc in at
+    }
+
+
 def run(
     program: ir.Program,
     readout=None,
@@ -300,6 +369,8 @@ def run(
     joins = frozenset(labels.values())
     code = program.instructions
     dim = 2**n
+    outcomes_at = (pc + 1 for pc, i in enumerate(code) if isinstance(i, ir.Measure))
+    dead = _dead_cells(program, labels, readout, {0, *joins, *outcomes_at})
 
     probabilities: dict = {}
     truncated = 0.0
@@ -311,6 +382,8 @@ def run(
     order = itertools.count()
 
     def push(pc, memory, factor, steps):
+        for region, index, zero in dead[pc]:
+            memory[region][index] = zero
         key = (pc, tuple(map(tuple, memory.values())))
         entry = pending.get(key)
         if entry is None:

@@ -405,7 +405,12 @@ def _agree(program, tol, **kwargs):
 class TestReferenceAgreement:
     @pytest.mark.parametrize("name", WORKLOADS)
     def test_fixtures(self, name):
-        _agree(fixture_program(name), 1e-12)
+        # Without pruning, so the bound measures arithmetic.  Pruning drops
+        # each outcome of at most 1e-12 on its own; in rus the two values
+        # of the dead flag f1 merge at @done, reach that size one retry
+        # later than the reference's separate branches, and leave half its
+        # truncated mass (1.8e-12 against 3.6e-12).
+        _agree(fixture_program(name), 1e-12, prune_epsilon=0.0)
 
     def test_random_programs(self):
         for seed in range(200):
@@ -556,6 +561,48 @@ class TestFactor:
         _agree(program, 1e-9)
         # About 40 iterations per loop until a retry is below 1e-12.
         assert len(calls) <= 2 * 2 * 45
+
+    def test_a_counter_read_only_inside_its_loop_does_not_split_the_next(
+        self, monkeypatch
+    ):
+        # n counts the first loop's iterations, and nothing after that loop
+        # reads it, so every exit reaches @b with n zeroed and the exits
+        # merge there as in the test above: no second loop per exit.
+        program = ir.parse(
+            "DECLARE ro BIT\nDECLARE f BIT[2]\nDECLARE n INTEGER\n"
+            "LABEL @a\nRESET 1\nH 1\nADD n 1\nCNOT 1 0\nMEASURE 1 f[0]\n"
+            "JUMP-WHEN @a f[0]\n"
+            "LABEL @b\nRESET 1\nH 1\nCNOT 1 0\nMEASURE 1 f[1]\nJUMP-WHEN @b f[1]\n"
+            "MEASURE 0 ro\n"
+        )
+        calls = []
+        apply = oracle._apply_unitary
+
+        def counting_apply(*args):
+            calls.append(args)
+            return apply(*args)
+
+        monkeypatch.setattr(oracle, "_apply_unitary", counting_apply)
+        _agree(program, 1e-9)
+        assert len(calls) <= 2 * 2 * 45
+
+    def test_dead_cells(self):
+        program = ir.parse(
+            "DECLARE ro BIT\nDECLARE n INTEGER\nDECLARE x REAL\n"
+            "MOVE x 0.5\nRX(x) 0\nADD n 1\nMOVE n 2\nMEASURE 0 ro\nHALT\n"
+        )
+        dead = [
+            {(region, index) for region, index, _ in cells}
+            for cells in oracle._dead_cells(program, program.labels, {"ro"}, range(10)).values()
+        ]
+        # x is live from its MOVE to the RX that reads it; n is read by the
+        # ADD and dead from the MOVE that overwrites it; ro is read at the
+        # end and dead before the MEASURE that writes it.
+        assert ("x", 0) in dead[3] and ("x", 0) not in dead[4]
+        assert ("x", 0) in dead[5]
+        assert ("n", 0) not in dead[5] and ("n", 0) in dead[6]
+        assert ("ro", 0) in dead[7] and ("ro", 0) not in dead[8]
+        assert dead[8] == dead[9] == {("n", 0), ("x", 0)}
 
     def test_outcomes_past_the_last_label_do_not_wait(self, monkeypatch):
         # Both loop bodies change REAL cells, so no two iterations share a
