@@ -16,6 +16,8 @@ All analyses here are per-segment and intentionally conservative:
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -56,10 +58,28 @@ def _coerce(kind: str, value):
     return float(value)
 
 
+def _emit_int_bits() -> int:
+    """Bits below which every int has few enough digits for ``ir.emit``:
+    the interpreter's int <-> str digit limit, or its default of 4,300
+    where there is none."""
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+    return int(digits * math.log2(10))
+
+
 def _apply_binary(op: str, kind: str, left, right):
     """Evaluate a classical binary op; None when undefined (DIV 0, or a
-    result the kind cannot hold, such as int(inf))."""
+    result the kind cannot hold, such as int(inf)) or when a product of
+    ints could have more digits than ``ir.emit`` writes.  Only MUL grows
+    an int faster than one bit per instruction, so only it is bounded;
+    the check comes before the product, whose cost grows with its size."""
     if op == "DIV" and right == 0:
+        return None
+    if (
+        op == "MUL"
+        and isinstance(left, int)
+        and isinstance(right, int)
+        and left.bit_length() + right.bit_length() > _emit_int_bits()
+    ):
         return None
     try:
         if op == "ADD":

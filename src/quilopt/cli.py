@@ -166,27 +166,15 @@ def _cmd_compare(args) -> int:
         with open(path) as handle:
             reports.append(json.load(handle))
 
-    def flatten(document: dict) -> dict:
-        return {
-            "wall_time": document["total_wall_time"],
-            "instructions": sum(
-                seg["instr_count"] for seg in document["per_ddg"]
-            ),
-            "qin": document["qin"],
-            "qct": document["qct"],
-        }
+    def flatten(document: dict) -> harness.MetricsVector:
+        return harness.MetricsVector(
+            wall_time=document["total_wall_time"],
+            instructions=sum(seg["instr_count"] for seg in document["per_ddg"]),
+            qin=document["qin"],
+            qct=document["qct"],
+        )
 
-    before, after = (flatten(document) for document in reports)
-    delta = {}
-    for name, old in before.items():
-        new = after[name]
-        delta[name] = {
-            "before": old,
-            "after": new,
-            "delta": new - old,
-            "percent": 0.0 if old == 0 else 100.0 * (old - new) / old,
-        }
-    _print_json(delta)
+    _print_json(harness.compare(*(flatten(d) for d in reports)))
     return 0
 
 

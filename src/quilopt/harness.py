@@ -5,6 +5,13 @@ experiment runner samples many random sequences of analysis/transform
 pairs, applies each to the program, and tabulates the resulting metric
 vectors.  Each run draws its own generator seeded with ``[seed, run]``,
 making every run reproducible independently of the others.
+
+Random sequences of a few passes reach only a handful of distinct
+programs, and every pass is a pure function of its (frozen, hashable)
+input program.  So one experiment call applies each (program, pass)
+pair once, measures each distinct program once and asks the oracle about
+each distinct verified program once.  These memos live for one call
+only; nothing is kept between calls.
 """
 
 from __future__ import annotations
@@ -17,13 +24,9 @@ import numpy as np
 
 from quilopt import ir, metrics, oracle, transforms
 
-# Canonical draw order for the experiment's random pass choices.
-PAIR_NAMES = (
-    "const-prop-fold",
-    "liveness-dce",
-    "hybrid-deps-reorder",
-    "hybrid-deps-latest-quantum",
-)
+# Canonical draw order for the experiment's random pass choices: the
+# registry's order, which the stored reference tables pin.
+PAIR_NAMES = tuple(transforms.PASS_PAIRS)
 
 
 class MetricsVector(NamedTuple):
@@ -77,16 +80,12 @@ class ExperimentResult:
         }
 
 
-def run_sequence(program: ir.Program, names, readout=None) -> ir.Program:
-    """Apply a concrete sequence of pass names."""
-    return transforms.apply_passes(program, names, readout)
-
-
 def draw_sequence(seed: int, run: int, pairs: int) -> list[str]:
     """The pass sequence of one experiment run, reproducible from its seed."""
     rng = np.random.default_rng([seed, run])
     picks = rng.integers(0, len(PAIR_NAMES), size=pairs)
     return [PAIR_NAMES[i] for i in picks]
+
 
 def run_experiment(
     program: ir.Program,
@@ -102,23 +101,42 @@ def run_experiment(
     reference executor; a mismatch raises :class:`VerificationError`.
     ``best`` holds the per-metric minimum over all runs — the columns may
     come from different runs.
+
+    Within the call, each (program, pass name) pair is applied once, each
+    distinct program is measured once, and each distinct verified program
+    is checked once; the result is that of computing every run afresh.
     """
+    applied: dict[tuple[ir.Program, str], ir.Program] = {}
+    vectors: dict[ir.Program, MetricsVector] = {}
+    verdicts: dict[ir.Program, tuple[bool, float]] = {}
+
+    def measured(candidate: ir.Program) -> MetricsVector:
+        if candidate not in vectors:
+            vectors[candidate] = measure(candidate)
+        return vectors[candidate]
+
     counts: Counter[MetricsVector] = Counter()
     best = None
     verified = 0
     for run in range(runs):
-        optimized = run_sequence(
-            program, draw_sequence(seed, run, pairs), readout
-        )
+        optimized = program
+        for name in draw_sequence(seed, run, pairs):
+            key = (optimized, name)
+            if key not in applied:
+                # Through the module attribute, so wrappers of it see the call.
+                applied[key] = transforms.apply_pass(optimized, name, readout)
+            optimized = applied[key]
         if run < verify_runs:
-            ok, distance = oracle.equivalent(program, optimized, readout)
+            if optimized not in verdicts:
+                verdicts[optimized] = oracle.equivalent(program, optimized, readout)
+            ok, distance = verdicts[optimized]
             if not ok:
                 raise VerificationError(
                     f"run {run} changed the readout distribution "
                     f"(distance {distance:.3e})"
                 )
             verified += 1
-        vector = measure(optimized)
+        vector = measured(optimized)
         counts[vector] += 1
         if best is None:
             best = vector
@@ -132,25 +150,21 @@ def run_experiment(
         runs=runs,
         pairs=pairs,
         seed=seed,
-        initial=measure(program),
+        initial=measured(program),
         best=best,
         table=table,
         verified_runs=verified,
     )
 
 
-def compare(before: ir.Program, after: ir.Program) -> dict:
-    """Absolute and relative metric changes between two programs."""
-    a = measure(before)
-    b = measure(after)
-    out = {}
-    for name in MetricsVector._fields:
-        x = getattr(a, name)
-        y = getattr(b, name)
-        out[name] = {
+def compare(before: MetricsVector, after: MetricsVector) -> dict:
+    """Per metric: before, after, the change and the percent saved."""
+    return {
+        name: {
             "before": x,
             "after": y,
             "delta": y - x,
             "percent": 0.0 if x == 0 else 100.0 * (x - y) / x,
         }
-    return out
+        for name, x, y in zip(MetricsVector._fields, before, after)
+    }

@@ -160,7 +160,7 @@ def test_passes_preserve_readout_distributions():
         for run in range(3):
             sequence = harness.draw_sequence(seed=100, run=run, pairs=25)
             ok, distance = oracle.equivalent(
-                program, harness.run_sequence(program, sequence)
+                program, transforms.apply_passes(program, sequence)
             )
             assert ok, f"sequence {run} changed {name} readout by {distance:.3e}"
 
@@ -170,7 +170,7 @@ def test_passes_preserve_readout_distributions():
         check(program, f"random program {index}", readout=["ro"])
         sequence = [rng.choice(harness.PAIR_NAMES) for _ in range(25)]
         ok, distance = oracle.equivalent(
-            program, harness.run_sequence(program, sequence, ["ro"]), ["ro"]
+            program, transforms.apply_passes(program, sequence, ["ro"]), ["ro"]
         )
         assert ok, (
             f"25-pass sequence changed random program {index} "

@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from quilopt import analyses, graphs, ir
+from quilopt import analyses, graphs, ir, transforms
 from quilopt.analyses import PAULI_STATES, PAULI_TRANSITIONS
 from quilopt.fixtures import fixture_program
 
@@ -112,6 +112,26 @@ class TestConstantCells:
             "DECLARE r REAL\nMOVE r 7\nDIV r 2\nADD r 0\n"
         )
         assert facts.cell_value(3, ("m", "r", 0)) == pytest.approx(3.5)
+
+    def test_repeated_squaring_stops_at_what_emit_can_write(self):
+        # 20 squarings of 10 would reach 10**(2**20), over a million
+        # digits.  Each product is refused before it is computed once it
+        # could pass the digit limit of int literals, so no fact ever
+        # grows past it and the cell is unknown after the last MUL.
+        ddg, facts = _start_facts(
+            "DECLARE a INTEGER\nMOVE a 10\n" + "MUL a a\n" * 20 + "ADD a 0\n"
+        )
+        limit = analyses._emit_int_bits()
+        sizes = [
+            value.bit_length()
+            for cells in facts.cells_before
+            for value in cells.values()
+            if isinstance(value, int)
+        ]
+        assert sizes and max(sizes) <= limit
+        assert facts.cell_value(22, ("m", "a", 0)) is None
+        folded, _ = transforms.constant_fold(ddg.program)
+        assert ir.parse(ir.emit(folded)) == folded
 
     @pytest.mark.parametrize(
         "kind,literal,expected",
