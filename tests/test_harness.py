@@ -93,7 +93,6 @@ class TestPairNames:
             "hybrid-deps-reorder",
             "hybrid-deps-latest-quantum",
         )
-        assert harness.PAIR_NAMES == tuple(transforms.PASS_PAIRS)
 
 
 class TestApplyPasses:
@@ -243,7 +242,8 @@ class TestMemo:
         monkeypatch.setattr(oracle, "equivalent", counting_equivalent)
         monkeypatch.setattr(harness, "measure", counting_measure)
         for _ in range(2):  # nothing carries over from one call to the next
-            applied.clear(), checked.clear(), measured.clear()
+            for calls in (applied, checked, measured):
+                calls.clear()
             result = harness.run_experiment(
                 program, runs=runs, pairs=pairs, seed=seed, verify_runs=verify_runs
             )
