@@ -8,10 +8,12 @@ label is kept as an anchor) and unconditional jumps are threaded through.
 then becomes a :class:`Ddg`, a data-dependency graph over the trace's
 instructions with conflict edges (one instruction writes a resource
 another touches) restricted to trace order and then transitively
-reduced, which is unique on a DAG.  The edges come from one scan that
-tracks each resource's last writer and readers since that write, and the
-reduction walks the nodes once with int bitsets of what each reaches, so
-a trace's graph costs close to linear time in its length.
+reduced, which is unique on a DAG.  A Ddg holds only its trace until its
+edges are first read: passes and metrics that need the path alone never
+pay for them.  The edges come from one scan that tracks each resource's
+last writer and readers since that write, and the reduction walks the
+nodes once with int bitsets of what each reaches, so a trace's graph
+costs close to linear time in its length.
 
 Trace roles:
 
@@ -34,9 +36,10 @@ parallel blocks between hybrid synchronization points.
 from __future__ import annotations
 
 import enum
+import functools
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from quilopt import ir
 from quilopt.ir import QuilError
@@ -84,7 +87,7 @@ def _trace(
     return tuple(path), anchor
 
 
-def _conflict_edges(instructions: list[ir.Instruction]) -> set[tuple[int, int]]:
+def _conflict_edges(instructions: Sequence[ir.Instruction]) -> set[tuple[int, int]]:
     """Index pairs (i, j), i < j, whose transitive closure is that of the
     conflict relation (one side writes a resource the other touches).
 
@@ -153,7 +156,9 @@ class Ddg:
 
     Nodes are source positions (``path``, in execution order); ``edges``
     are transitively reduced dependencies between positions.  The path
-    order is always a valid topological order of the edges.
+    order is always a valid topological order of the edges.  ``edges``,
+    ``succ`` and ``pred`` are built on first read and kept for the life of
+    the graph.
     """
 
     def __init__(
@@ -174,20 +179,27 @@ class Ddg:
         self.path = tuple(path)
         self.ends_program = ends_program
 
-        instructions = [program.instructions[p] for p in self.path]
+    @functools.cached_property
+    def edges(self) -> frozenset[tuple[int, int]]:
+        instructions = self.instructions
         reduced = transitive_reduction(
             len(instructions), _conflict_edges(instructions)
         )
-        self.edges = frozenset(
-            (self.path[i], self.path[j]) for i, j in reduced
-        )
+        return frozenset((self.path[i], self.path[j]) for i, j in reduced)
+
+    @functools.cached_property
+    def succ(self) -> dict[int, tuple[int, ...]]:
         by_src: dict[int, list[int]] = defaultdict(list)
-        by_dst: dict[int, list[int]] = defaultdict(list)
         for u, v in self.edges:
             by_src[u].append(v)
+        return {p: tuple(sorted(by_src[p])) for p in self.path}
+
+    @functools.cached_property
+    def pred(self) -> dict[int, tuple[int, ...]]:
+        by_dst: dict[int, list[int]] = defaultdict(list)
+        for u, v in self.edges:
             by_dst[v].append(u)
-        self.succ = {p: tuple(sorted(by_src[p])) for p in self.path}
-        self.pred = {p: tuple(sorted(by_dst[p])) for p in self.path}
+        return {p: tuple(sorted(by_dst[p])) for p in self.path}
 
     @property
     def instructions(self) -> tuple[ir.Instruction, ...]:
@@ -195,11 +207,6 @@ class Ddg:
 
     def instruction_at(self, pos: int) -> ir.Instruction:
         return self.program.instructions[pos]
-
-    def linearize(self) -> tuple[int, ...]:
-        """Execution order of the nodes (a topological order by
-        construction)."""
-        return self.path
 
     def ancestors(self, pos: int) -> set[int]:
         """All positions ``pos`` transitively depends on."""
@@ -210,16 +217,6 @@ class Ddg:
             if p not in out:
                 out.add(p)
                 stack.extend(self.pred[p])
-        return out
-
-    def descendants(self, pos: int) -> set[int]:
-        out: set[int] = set()
-        stack = list(self.succ[pos])
-        while stack:
-            p = stack.pop()
-            if p not in out:
-                out.add(p)
-                stack.extend(self.succ[p])
         return out
 
     def class_counts(self) -> dict[ir.DeviceClass, int]:

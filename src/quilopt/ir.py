@@ -20,10 +20,12 @@ qubit, which is modeled with a wildcard token.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import re
+import types
 from dataclasses import dataclass
-from typing import Iterator, Union
+from typing import Iterator, Mapping, Union
 
 
 class QuilError(Exception):
@@ -169,19 +171,23 @@ CONTROL_TYPES = (Label, Jump, JumpWhen, JumpUnless, Halt)
 class Program:
     instructions: tuple[Instruction, ...] = ()
 
-    @property
-    def regions(self) -> dict[str, Declare]:
+    # Computed on first read and kept on the instance, read-only; equality
+    # and hashing stay on ``instructions`` alone.
+    @functools.cached_property
+    def regions(self) -> Mapping[str, Declare]:
         """Declared memory regions, in declaration order."""
-        return {i.name: i for i in self.instructions if isinstance(i, Declare)}
+        return types.MappingProxyType(
+            {i.name: i for i in self.instructions if isinstance(i, Declare)}
+        )
 
-    @property
-    def labels(self) -> dict[str, int]:
+    @functools.cached_property
+    def labels(self) -> Mapping[str, int]:
         """Label name -> position of the LABEL instruction."""
-        return {
+        return types.MappingProxyType({
             i.name: pos
             for pos, i in enumerate(self.instructions)
             if isinstance(i, Label)
-        }
+        })
 
     def default_readout(self) -> frozenset[str]:
         """Regions treated as program output: ``ro`` if declared, else all."""

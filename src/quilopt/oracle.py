@@ -288,18 +288,22 @@ def _dead_cells(program: ir.Program, labels, readout, at) -> dict:
     own memory, and every later loop would run once per exit.
     """
     code = program.instructions
-    cells = [
-        (d.name, i, 0.0 if d.kind == "REAL" else 0)
-        for d in program.regions.values()
-        for i in range(d.size)
-    ]
-    bit = {(name, i): 1 << k for k, (name, i, _) in enumerate(cells)}
+    # The bitsets below hold one bit per cell: region ``name`` takes bits
+    # ``first`` to ``first + size - 1``.  Masks are built from these spans
+    # when needed, never one int per cell.
+    spans, start = [], 0
+    for d in program.regions.values():
+        spans.append((d.name, start, d.size, 0.0 if d.kind == "REAL" else 0))
+        start += d.size
+    place = {name: (first, size) for name, first, size, _ in spans}
 
     def mask(refs):
         found = 0
         for ref in refs:
-            if isinstance(ref, ir.MemoryRef):
-                found |= bit.get((ref.region, ref.index), 0)
+            if isinstance(ref, ir.MemoryRef) and ref.region in place:
+                first, size = place[ref.region]
+                if ref.index < size:
+                    found |= 1 << (first + ref.index)
         return found
 
     # Per pc: the cells read, the complement of those written, successors.
@@ -325,7 +329,12 @@ def _dead_cells(program: ir.Program, labels, readout, at) -> dict:
         kept.append(~written)
         successors.append(following)
     # Backward liveness as bitsets, to a fixed point.
-    live = [0] * len(code) + [sum(b for (n, _), b in bit.items() if n in readout)]
+    at_end = sum(
+        ((1 << size) - 1) << first
+        for name, first, size, _ in spans
+        if name in readout
+    )
+    live = [0] * len(code) + [at_end]
     changed = True
     while changed:
         changed = False
@@ -337,10 +346,20 @@ def _dead_cells(program: ir.Program, labels, readout, at) -> dict:
             if now != live[pc]:
                 live[pc] = now
                 changed = True
-    return {
-        pc: [cell for k, cell in enumerate(cells) if not live[pc] >> k & 1]
-        for pc in at
-    }
+    everything = (1 << start) - 1
+
+    def dead_at(pc):
+        # Bit k of the dead mask is character k of its reversed binary
+        # text: one linear pass, where shifting per cell is quadratic.
+        bits = format(everything & ~live[pc], "b")[::-1]
+        return [
+            (name, i, zero)
+            for name, first, size, zero in spans
+            for i, bit in enumerate(bits[first:first + size])
+            if bit == "1"
+        ]
+
+    return {pc: dead_at(pc) for pc in at}
 
 
 def run(

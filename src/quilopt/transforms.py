@@ -369,16 +369,14 @@ def _order_latest_quantum(ddg: Ddg) -> list[int]:
         ordered += [p for p in path if cls[p] is ir.DeviceClass.QUANTUM]
         return ordered
 
-    def purely_classical(pos):
-        return all(
-            cls[a] is ir.DeviceClass.CLASSICAL for a in ddg.ancestors(pos)
+    # Classical nodes with only classical ancestors, in one sweep: the
+    # path is a topological order, so every predecessor is decided first.
+    pure: dict[int, bool] = {}
+    for p in path:
+        pure[p] = cls[p] is ir.DeviceClass.CLASSICAL and all(
+            pure[a] for a in ddg.pred[p]
         )
-
-    front = [
-        p
-        for p in path
-        if cls[p] is ir.DeviceClass.CLASSICAL and purely_classical(p)
-    ]
+    front = [p for p in path if pure[p]]
     taken = set(front)
     prefix = [
         p
@@ -402,29 +400,15 @@ def latest_possible_quantum(program: ir.Program) -> ir.Program:
 # pass registry
 
 
-def fold_pass(program: ir.Program, readout=None) -> ir.Program:
-    return constant_fold(program)[0]
-
-
-def dce_pass(program: ir.Program, readout=None) -> ir.Program:
-    return dead_code_elim(program, readout)
-
-
-def reorder_pass(program: ir.Program, readout=None) -> ir.Program:
-    return reorder_instructions(program)
-
-
-def latest_quantum_pass(program: ir.Program, readout=None) -> ir.Program:
-    return latest_possible_quantum(program)
-
-
 # Analysis/transform pairs, keyed by the names the CLI and the experiment
-# harness use.
+# harness use; each maps (program, readout) to the rewritten program.
 PASS_PAIRS = {
-    "const-prop-fold": fold_pass,
-    "liveness-dce": dce_pass,
-    "hybrid-deps-reorder": reorder_pass,
-    "hybrid-deps-latest-quantum": latest_quantum_pass,
+    "const-prop-fold": lambda program, readout=None: constant_fold(program)[0],
+    "liveness-dce": dead_code_elim,
+    "hybrid-deps-reorder": lambda program, readout=None: reorder_instructions(program),
+    "hybrid-deps-latest-quantum": (
+        lambda program, readout=None: latest_possible_quantum(program)
+    ),
 }
 
 

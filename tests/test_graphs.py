@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_program
-from quilopt import graphs, ir, transforms
+from quilopt import graphs, ir, metrics, transforms
 from quilopt.fixtures import WORKLOADS, fixture_program
 from quilopt.graphs import Role
 
@@ -177,21 +177,17 @@ class TestEdges:
         assert (3, 5) not in ddg.edges  # subsumed via CNOT 0 1
         assert (0, 7) not in ddg.edges  # subsumed via MEASURE 1 m
 
-    def test_ancestors_descendants(self):
+    def test_ancestors(self):
         p = ir.parse("H 0\nH 1\nCNOT 0 1\nX 0\n")
         ddg = graphs.build_ddgs(p).start
         assert ddg.ancestors(3) == {0, 1, 2}
-        assert ddg.descendants(0) == {2, 3}
+        assert ddg.ancestors(2) == {0, 1}
         assert ddg.ancestors(0) == set()
 
     def test_transitive_reduction_unit(self):
         assert graphs.transitive_reduction(3, {(0, 1), (1, 2), (0, 2)}) == {
             (0, 1), (1, 2),
         }
-
-    def test_linearize_is_path_order(self):
-        ddg = graphs.build_ddgs(fixture_program("rus")).start
-        assert ddg.linearize() == ddg.path
 
     def test_random_programs_edge_invariants(self):
         for seed in range(120):
@@ -277,6 +273,56 @@ class TestEdgeBuilder:
     def test_reduction_matches_set_based(self, dag):
         n, edges = dag
         assert graphs.transitive_reduction(n, edges) == reference_reduction(n, edges)
+
+
+def eager_graph(ddg):
+    """``(edges, succ, pred)`` built at once from the trace, as ``Ddg``
+    built them before its edges became lazy."""
+    instructions = [ddg.program.instructions[p] for p in ddg.path]
+    reduced = graphs.transitive_reduction(
+        len(instructions), graphs._conflict_edges(instructions)
+    )
+    edges = frozenset((ddg.path[i], ddg.path[j]) for i, j in reduced)
+    succ = {p: tuple(sorted(v for u, v in edges if u == p)) for p in ddg.path}
+    pred = {p: tuple(sorted(u for u, v in edges if v == p)) for p in ddg.path}
+    return edges, succ, pred
+
+
+class TestLazyEdges:
+    """A Ddg's edges are built on first read, and only where read."""
+
+    def check(self, program):
+        for ddg in graphs.build_ddgs(program):
+            assert not {"edges", "succ", "pred"} & set(vars(ddg))
+            assert (ddg.edges, ddg.succ, ddg.pred) == eager_graph(ddg)
+            assert ddg.edges is ddg.edges
+
+    def test_fixtures_match_eager_build(self):
+        for name in WORKLOADS:
+            self.check(fixture_program(name))
+
+    def test_random_programs_match_eager_build(self):
+        for seed in range(200):
+            self.check(random_program(random.Random(seed)))
+
+    def test_path_only_users_build_no_edges(self, monkeypatch):
+        calls = []
+        reduce = graphs.transitive_reduction
+
+        def counting_reduction(n, edges):
+            calls.append(n)
+            return reduce(n, edges)
+
+        monkeypatch.setattr(graphs, "transitive_reduction", counting_reduction)
+        for name in WORKLOADS:
+            program = fixture_program(name)
+            transforms.constant_fold(program)
+            transforms.dead_code_elim(program)
+            metrics.report(program)
+            assert calls == [], name
+            transforms.apply_pass(program, "hybrid-deps-reorder")
+            assert calls, name
+            calls.clear()
 
 
 class TestSegmentOnce:

@@ -74,6 +74,16 @@ class TestParsing:
         p = ir.parse("LABEL @a\nX 0\nLABEL @b\n")
         assert p.labels == {"a": 0, "b": 2}
 
+    def test_regions_and_labels_are_cached_read_only_views(self):
+        p = ir.parse("DECLARE ro BIT\nLABEL @a\nX 0\n")
+        assert p.regions is p.regions and p.labels is p.labels
+        with pytest.raises(TypeError):
+            p.regions["ro"] = ir.Declare("ro", "INTEGER", 1)
+        with pytest.raises(TypeError):
+            p.labels["a"] = 2
+        assert p == ir.parse("DECLARE ro BIT\nLABEL @a\nX 0\n")
+        assert hash(p) == hash(ir.parse("DECLARE ro BIT\nLABEL @a\nX 0\n"))
+
 
 class TestParseErrors:
     @pytest.mark.parametrize(

@@ -9,6 +9,7 @@ quantum state handling, and ``oracle.run`` must agree with it.
 import heapq
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -603,6 +604,21 @@ class TestFactor:
         assert ("n", 0) not in dead[5] and ("n", 0) in dead[6]
         assert ("ro", 0) in dead[7] and ("ro", 0) not in dead[8]
         assert dead[8] == dead[9] == {("n", 0), ("x", 0)}
+
+    def test_declared_cells_take_linear_memory(self):
+        # Liveness keeps one bit per cell in shared bitsets, about 12 MB
+        # here; one mask int per cell would be n**2 / 2 bits, over 150 MB.
+        program = ir.parse(
+            "DECLARE big BIT[50000]\nDECLARE ro BIT\nH 0\nMEASURE 0 ro\n"
+        )
+        tracemalloc.start()
+        try:
+            d = oracle.run(program)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sorted(d.probabilities.values()) == pytest.approx([0.5, 0.5])
+        assert peak < 40_000_000
 
     def test_outcomes_past_the_last_label_do_not_wait(self, monkeypatch):
         # Both loop bodies change REAL cells, so no two iterations share a

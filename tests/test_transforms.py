@@ -369,6 +369,37 @@ class TestLatestQuantum:
         ok, distance = oracle.equivalent(program, out)
         assert ok, f"readout changed by {distance}"
 
+    def test_matches_ancestor_walk_reference(self):
+        for seed in range(200):
+            for ddg in graphs.build_ddgs(random_program(random.Random(seed))):
+                assert transforms._order_latest_quantum(ddg) == (
+                    _reference_latest_quantum(ddg)
+                ), (seed, ddg.id)
+
+
+def _reference_latest_quantum(ddg):
+    """The latest-quantum order with its front found by walking every
+    classical node's ancestors (quadratic in the trace)."""
+    path = list(ddg.path)
+    cls = {p: ir.device_class(ddg.instruction_at(p)) for p in path}
+    hybrids = [i for i, p in enumerate(path) if cls[p] is ir.DeviceClass.HYBRID]
+    if not hybrids:
+        return [p for p in path if cls[p] is ir.DeviceClass.CLASSICAL] + [
+            p for p in path if cls[p] is ir.DeviceClass.QUANTUM
+        ]
+    front = [
+        p
+        for p in path
+        if cls[p] is ir.DeviceClass.CLASSICAL
+        and all(cls[a] is ir.DeviceClass.CLASSICAL for a in ddg.ancestors(p))
+    ]
+    prefix = [
+        p
+        for p in path[: hybrids[0]]
+        if p not in front and cls[p] is ir.DeviceClass.QUANTUM
+    ]
+    return front + prefix + [p for p in path if p not in front + prefix]
+
 
 # ---------------------------------------------------------------------------
 # structural properties shared by every pass
