@@ -289,8 +289,7 @@ def _dead_cells(program: ir.Program, labels, readout, at) -> dict:
     """
     code = program.instructions
     # The bitsets below hold one bit per cell: region ``name`` takes bits
-    # ``first`` to ``first + size - 1``.  Masks are built from these spans
-    # when needed, never one int per cell.
+    # ``first`` to ``first + size - 1``, so no mask is kept per cell.
     spans, start = [], 0
     for d in program.regions.values():
         spans.append((d.name, start, d.size, 0.0 if d.kind == "REAL" else 0))
@@ -350,7 +349,7 @@ def _dead_cells(program: ir.Program, labels, readout, at) -> dict:
 
     def dead_at(pc):
         # Bit k of the dead mask is character k of its reversed binary
-        # text: one linear pass, where shifting per cell is quadratic.
+        # text, so one pass over the text lists the dead cells.
         bits = format(everything & ~live[pc], "b")[::-1]
         return [
             (name, i, zero)
