@@ -9,9 +9,15 @@ All analyses here are per-segment and intentionally conservative:
   there with different values.
 * :func:`live_variables` runs backwards from the readout cells over a
   terminating trace and records writes that can never be observed.
-* :func:`find_hybrid_dependencies` lists, for every hybrid instruction,
-  the instructions it needs that are not already implied by an earlier
-  hybrid instruction.
+* :func:`hybrid_dependencies` lists the instructions one position needs
+  that are not already implied by an earlier hybrid instruction;
+  :func:`find_hybrid_dependencies` gives them for every hybrid
+  instruction, and the ``hybrid-deps-reorder`` pass queues each hybrid
+  target after them.
+
+A ``DECLARE`` changes nothing at run time (memory starts zeroed from the
+program's regions, wherever the declaration sits), so no analysis here
+treats it as a write.
 """
 
 from __future__ import annotations
@@ -197,10 +203,7 @@ def constant_propagation(ddg: Ddg) -> SegmentFacts:
         qubits_before.append(dict(qubits))
 
         instr = program.instructions[pos]
-        if isinstance(instr, ir.Declare):
-            for i in range(instr.size):
-                cells.pop(("m", instr.name, i), None)
-        elif isinstance(instr, ir.Classical):
+        if isinstance(instr, ir.Classical):
             _transfer_classical(instr, regions, cells)
         elif isinstance(instr, ir.Gate):
             _transfer_gate(instr, qubits)
@@ -329,13 +332,7 @@ def live_variables(ddg: Ddg, readout) -> LivenessResult:
 
     for pos in reversed(ddg.path):
         instr = program.instructions[pos]
-        if isinstance(instr, ir.Declare):
-            written = {("m", instr.name, i) for i in range(instr.size)}
-            for token in written:
-                if token not in live:
-                    dead_cells.add((pos, token))
-            live -= written
-        elif isinstance(instr, ir.Classical):
+        if isinstance(instr, ir.Classical):
             res = ir.resources(instr)
             for token in res.writes:
                 if token not in live:
@@ -375,25 +372,30 @@ def live_variables(ddg: Ddg, readout) -> LivenessResult:
     return LivenessResult(frozenset(dead_cells), frozenset(dead_qubits))
 
 
-def find_hybrid_dependencies(ddg: Ddg) -> dict[int, frozenset[int]]:
-    """For each hybrid node: the closest instructions it depends on.
+def hybrid_dependencies(ddg: Ddg, pos: int) -> set[int]:
+    """The closest instructions ``pos`` depends on.
 
-    Walks predecessor edges from every hybrid instruction, stopping at the
-    first hybrid encountered on each branch: an earlier hybrid already
-    implies everything behind it.  Keys and values are program positions.
+    Walks predecessor edges from ``pos``, stopping at the first hybrid
+    encountered on each branch: an earlier hybrid already implies
+    everything behind it.  Positions are program positions.
     """
-    result: dict[int, frozenset[int]] = {}
-    for pos in ddg.path:
-        if ir.device_class(ddg.instruction_at(pos)) is not ir.DeviceClass.HYBRID:
+    deps: set[int] = set()
+    stack = list(ddg.pred[pos])
+    while stack:
+        p = stack.pop()
+        if p in deps:
             continue
-        deps: set[int] = set()
-        stack = list(ddg.pred.get(pos, ()))
-        while stack:
-            p = stack.pop()
-            if p in deps:
-                continue
-            deps.add(p)
-            if ir.device_class(ddg.instruction_at(p)) is not ir.DeviceClass.HYBRID:
-                stack.extend(ddg.pred.get(p, ()))
-        result[pos] = frozenset(deps)
-    return result
+        deps.add(p)
+        if ir.device_class(ddg.instruction_at(p)) is not ir.DeviceClass.HYBRID:
+            stack.extend(ddg.pred[p])
+    return deps
+
+
+def find_hybrid_dependencies(ddg: Ddg) -> dict[int, frozenset[int]]:
+    """:func:`hybrid_dependencies` of every hybrid node, keyed by its
+    program position."""
+    return {
+        pos: frozenset(hybrid_dependencies(ddg, pos))
+        for pos in ddg.path
+        if ir.device_class(ddg.instruction_at(pos)) is ir.DeviceClass.HYBRID
+    }

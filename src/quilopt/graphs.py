@@ -4,8 +4,8 @@ A program is cut into straight-line *traces*: one starting at position 0,
 plus, for every conditional jump, one starting at its target label and one
 at its fall-through position.  Labels are never trace nodes (the entry
 label is kept as an anchor) and unconditional jumps are threaded through.
-:func:`segment` finds the traces without building graphs; each trace
-then becomes a :class:`Ddg`, a data-dependency graph over the trace's
+:func:`build_ddgs` is the one place that turns a program into its traces,
+each a :class:`Ddg`: a data-dependency graph over the trace's
 instructions with conflict edges (one instruction writes a resource
 another touches) restricted to trace order and then transitively
 reduced, which is unique on a DAG.  A Ddg holds only its trace until its
@@ -38,8 +38,8 @@ from __future__ import annotations
 import enum
 import functools
 from collections import defaultdict
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from dataclasses import dataclass, field
+from typing import Sequence
 
 from quilopt import ir
 from quilopt.ir import QuilError
@@ -151,6 +151,7 @@ def transitive_reduction(n: int, edges: set[tuple[int, int]]) -> set[tuple[int, 
     return reduced
 
 
+@dataclass(frozen=True, eq=False)
 class Ddg:
     """Data-dependency graph of one trace.
 
@@ -158,26 +159,17 @@ class Ddg:
     are transitively reduced dependencies between positions.  The path
     order is always a valid topological order of the edges.  ``edges``,
     ``succ`` and ``pred`` are built on first read and kept for the life of
-    the graph.
+    the graph; ``dataclasses.replace(ddg, program=...)`` gives the same
+    trace over another program, with no edges built yet.
     """
 
-    def __init__(
-        self,
-        program: ir.Program,
-        ddg_id: str,
-        role: Role,
-        entry: int,
-        anchor: str | None,
-        path: Iterable[int],
-        ends_program: bool,
-    ):
-        self.program = program
-        self.id = ddg_id
-        self.role = role
-        self.entry = entry
-        self.anchor = anchor
-        self.path = tuple(path)
-        self.ends_program = ends_program
+    program: ir.Program = field(repr=False)
+    id: str
+    role: Role
+    entry: int
+    anchor: str | None
+    path: tuple[int, ...]
+    ends_program: bool
 
     @functools.cached_property
     def edges(self) -> frozenset[tuple[int, int]]:
@@ -208,69 +200,17 @@ class Ddg:
     def instruction_at(self, pos: int) -> ir.Instruction:
         return self.program.instructions[pos]
 
-    def ancestors(self, pos: int) -> set[int]:
-        """All positions ``pos`` transitively depends on."""
-        out: set[int] = set()
-        stack = list(self.pred[pos])
-        while stack:
-            p = stack.pop()
-            if p not in out:
-                out.add(p)
-                stack.extend(self.pred[p])
-        return out
-
-    def class_counts(self) -> dict[ir.DeviceClass, int]:
-        counts = {cls: 0 for cls in ir.DeviceClass}
-        for instr in self.instructions:
-            counts[ir.device_class(instr)] += 1
-        return counts
-
     def __len__(self) -> int:
         return len(self.path)
 
-    def __repr__(self) -> str:
-        return f"Ddg({self.id!r}, role={self.role.value}, nodes={len(self)})"
 
-
-class DdgSet:
-    """All traces of a program, as Ddgs.
+def build_ddgs(program: ir.Program) -> tuple[Ddg, ...]:
+    """Cut a program into its traces, one Ddg each.
 
     Order: the start trace first, then the others by the source position
     where they enter.  Two jumps to the same label produce two (identical)
-    graphs — each is scheduled independently.
-    """
-
-    def __init__(self, program: ir.Program, segments: list[Ddg]):
-        self.program = program
-        self.segments = segments
-
-    def __iter__(self):
-        return iter(self.segments)
-
-    def __len__(self) -> int:
-        return len(self.segments)
-
-    def __getitem__(self, i: int) -> Ddg:
-        return self.segments[i]
-
-    @property
-    def by_id(self) -> dict[str, Ddg]:
-        return {d.id: d for d in self.segments}
-
-    @property
-    def start(self) -> Ddg:
-        return self.segments[0]
-
-    def halts(self) -> list[Ddg]:
-        return [d for d in self.segments if d.role is Role.HALT]
-
-
-def segment(program: ir.Program) -> list[tuple]:
-    """Cut a program into its traces, without building their graphs.
-
-    Returns one ``(id, role, entry, anchor, path, ends_program)`` tuple per
-    trace, in :class:`DdgSet` order; ``Ddg(program, *spec)`` builds its
-    graph.  Paths depend only on the positions of labels, jumps and halts.
+    graphs; each is scheduled independently.  Paths depend only on the
+    positions of labels, jumps and halts.
     """
     labels = program.labels
     traces: dict[int, tuple[tuple[int, ...], str | None]] = {}
@@ -298,9 +238,9 @@ def segment(program: ir.Program) -> list[tuple]:
         return Role.HALT, True  # ran off the end of the program
 
     start_path, start_anchor = trace(0)
-    specs = [
-        ("start", Role.START, 0, start_anchor, start_path,
-         classify_end(start_path)[1])
+    ddgs = [
+        Ddg(program, "start", Role.START, 0, start_anchor, start_path,
+            classify_end(start_path)[1])
     ]
 
     entries: list[int] = []
@@ -317,13 +257,10 @@ def segment(program: ir.Program) -> list[tuple]:
             continue
         role, ends = classify_end(path)
         counters[role] += 1
-        specs.append((f"{role.value}{counters[role]}", role, entry, anchor, path, ends))
-    return specs
-
-
-def build_ddgs(program: ir.Program) -> DdgSet:
-    """Segment a program into its traces and build one Ddg per trace."""
-    return DdgSet(program, [Ddg(program, *spec) for spec in segment(program)])
+        ddgs.append(
+            Ddg(program, f"{role.value}{counters[role]}", role, entry, anchor, path, ends)
+        )
+    return tuple(ddgs)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Schedule metrics for hybrid programs under a unit-cost two-device model.
 
-Three metrics, all computed per :class:`~quilopt.graphs.DdgSet`:
+Three metrics, all computed from one two-clock schedule per trace of
+:func:`~quilopt.graphs.build_ddgs`:
 
 * **wall time** -- makespan of each trace when the CPU and QPU run their
   own instructions in parallel and synchronize at hybrid instructions,
@@ -21,10 +22,10 @@ Three metrics, all computed per :class:`~quilopt.graphs.DdgSet`:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from quilopt import graphs, ir
-from quilopt.graphs import Ddg, DdgSet
+from quilopt.graphs import Ddg, Role
 
 
 @dataclass(frozen=True)
@@ -36,7 +37,12 @@ class SegmentSchedule:
     quantum_before_first_hybrid: int
     end_of_last_hybrid: int
     quantum_after_last_hybrid: int
-    has_hybrid: bool
+    quantum: int
+    hybrid: int
+
+    @property
+    def has_hybrid(self) -> bool:
+        return self.hybrid > 0
 
     @property
     def quantum_tail(self) -> int:
@@ -55,7 +61,7 @@ def simulate(sequence: Iterable[ir.Instruction]) -> SegmentSchedule:
     clocks to max(cpu, qpu) + 1.  Labels are free.
     """
     cpu = qpu = 0
-    seen_hybrid = False
+    quantum = hybrid = 0
     classical_prefix = quantum_prefix = 0
     end_last_hybrid = 0
     quantum_tail = 0
@@ -65,17 +71,18 @@ def simulate(sequence: Iterable[ir.Instruction]) -> SegmentSchedule:
         cls = ir.device_class(instr)
         if cls is ir.DeviceClass.CLASSICAL:
             cpu += 1
-            if not seen_hybrid:
+            if not hybrid:
                 classical_prefix += 1
         elif cls is ir.DeviceClass.QUANTUM:
             qpu += 1
-            if not seen_hybrid:
+            quantum += 1
+            if not hybrid:
                 quantum_prefix += 1
             else:
                 quantum_tail += 1
         else:
             cpu = qpu = max(cpu, qpu) + 1
-            seen_hybrid = True
+            hybrid += 1
             end_last_hybrid = cpu
             quantum_tail = 0
     return SegmentSchedule(
@@ -84,99 +91,59 @@ def simulate(sequence: Iterable[ir.Instruction]) -> SegmentSchedule:
         quantum_before_first_hybrid=quantum_prefix,
         end_of_last_hybrid=end_last_hybrid,
         quantum_after_last_hybrid=quantum_tail,
-        has_hybrid=seen_hybrid,
+        quantum=quantum,
+        hybrid=hybrid,
     )
 
 
-def wall_time(sequence: Iterable[ir.Instruction]) -> int:
-    return simulate(sequence).wall
+def _qct_breakdown(
+    ddgs: Sequence[Ddg], schedules: Sequence[SegmentSchedule]
+) -> dict:
+    first = schedules[0]
+    anchor = min(
+        first.classical_before_first_hybrid, first.quantum_before_first_hybrid
+    )
+    n_q_before = first.quantum_before_first_hybrid
 
-
-def qin(ddgs: DdgSet) -> int:
-    total = 0
-    for ddg in ddgs:
-        counts = ddg.class_counts()
-        total += counts[ir.DeviceClass.QUANTUM] + counts[ir.DeviceClass.HYBRID]
-    return total
-
-
-def _quantum_count(ddg: Ddg) -> int:
-    return ddg.class_counts()[ir.DeviceClass.QUANTUM]
-
-
-def qct_breakdown(ddgs: DdgSet) -> dict:
-    """QCT with its three components and the chosen final trace.
-
-    Returns a dict with keys ``n_q_before``, ``delta_t_between``,
-    ``n_q_after``, ``total``, and ``final_ddg``.
-    """
-    start = ddgs.start
-    start_schedule = simulate(start.instructions)
-
-    if len(ddgs) == 1:
-        if not start_schedule.has_hybrid:
-            # No synchronization anywhere: the QPU is busy exactly for its
-            # own instructions.
-            n_q = _quantum_count(start)
-            return {
-                "n_q_before": n_q,
-                "delta_t_between": 0,
-                "n_q_after": 0,
-                "total": n_q,
-                "final_ddg": start.id,
-            }
-        anchor = min(
-            start_schedule.classical_before_first_hybrid,
-            start_schedule.quantum_before_first_hybrid,
-        )
-        delta = start_schedule.end_of_last_hybrid - anchor
-        n_q_before = start_schedule.quantum_before_first_hybrid
-        n_q_after = start_schedule.quantum_after_last_hybrid
+    def breakdown(k: int, delta: int, n_q_after: int) -> dict:
         return {
             "n_q_before": n_q_before,
             "delta_t_between": delta,
             "n_q_after": n_q_after,
             "total": n_q_before + delta + n_q_after,
-            "final_ddg": start.id,
+            "final_ddg": ddgs[k].id,
         }
 
-    schedules = {ddg.id: simulate(ddg.instructions) for ddg in ddgs}
-    anchor = min(
-        start_schedule.classical_before_first_hybrid,
-        start_schedule.quantum_before_first_hybrid,
+    if len(ddgs) == 1:
+        # With no synchronization anywhere the QPU is busy exactly for its
+        # own instructions, all of them counted in n_q_before.
+        delta = first.end_of_last_hybrid - anchor if first.has_hybrid else 0
+        return breakdown(0, delta, first.quantum_after_last_hybrid)
+
+    # Every trace but the start and the final one runs in full in between.
+    spans = first.wall - anchor + sum(s.wall for s in schedules[1:])
+    finals = [k for k, d in enumerate(ddgs) if d.role is Role.HALT]
+    return max(
+        (
+            breakdown(
+                k,
+                spans - schedules[k].wall + schedules[k].end_of_last_hybrid,
+                schedules[k].quantum_tail,
+            )
+            for k in finals or range(1, len(ddgs))
+        ),
+        key=lambda b: b["total"],
     )
-    start_span = schedules[start.id].wall - anchor
-    n_q_before = start_schedule.quantum_before_first_hybrid
-
-    candidates = ddgs.halts()
-    if not candidates:
-        candidates = list(ddgs)[1:]
-
-    best: dict | None = None
-    for halt in candidates:
-        hs = schedules[halt.id]
-        middle = sum(
-            schedules[d.id].wall
-            for d in ddgs
-            if d is not start and d is not halt
-        )
-        delta = start_span + middle + hs.end_of_last_hybrid
-        n_q_after = hs.quantum_tail
-        total = n_q_before + delta + n_q_after
-        if best is None or total > best["total"]:
-            best = {
-                "n_q_before": n_q_before,
-                "delta_t_between": delta,
-                "n_q_after": n_q_after,
-                "total": total,
-                "final_ddg": halt.id,
-            }
-    assert best is not None
-    return best
 
 
-def qct(ddgs: DdgSet) -> int:
-    return qct_breakdown(ddgs)["total"]
+def qct_breakdown(ddgs: Sequence[Ddg]) -> dict:
+    """QCT with its three components and the chosen final trace.
+
+    Returns a dict with keys ``n_q_before``, ``delta_t_between``,
+    ``n_q_after``, ``total``, and ``final_ddg``; of several final traces
+    with the same total, the first is chosen.
+    """
+    return _qct_breakdown(ddgs, [simulate(d.instructions) for d in ddgs])
 
 
 @dataclass(frozen=True)
@@ -223,24 +190,17 @@ class MetricsReport:
         }
 
 
-def report_from_ddgs(ddgs: DdgSet) -> MetricsReport:
-    segments = tuple(
-        SegmentMetrics(
-            id=ddg.id,
-            role=ddg.role.value,
-            instr_count=len(ddg),
-            wall_time=wall_time(ddg.instructions),
-        )
-        for ddg in ddgs
-    )
-    return MetricsReport(
-        per_ddg=segments,
-        total_wall_time=sum(s.wall_time for s in segments),
-        qin=qin(ddgs),
-        qct=qct(ddgs),
-    )
-
-
 def report(program: ir.Program) -> MetricsReport:
-    """Segment the program and evaluate all three metrics."""
-    return report_from_ddgs(graphs.build_ddgs(program))
+    """Segment the program, schedule each trace once, and evaluate all
+    three metrics from those schedules."""
+    ddgs = graphs.build_ddgs(program)
+    schedules = [simulate(ddg.instructions) for ddg in ddgs]
+    return MetricsReport(
+        per_ddg=tuple(
+            SegmentMetrics(ddg.id, ddg.role.value, len(ddg), s.wall)
+            for ddg, s in zip(ddgs, schedules)
+        ),
+        total_wall_time=sum(s.wall for s in schedules),
+        qin=sum(s.quantum + s.hybrid for s in schedules),
+        qct=_qct_breakdown(ddgs, schedules)["total"],
+    )

@@ -2,9 +2,9 @@
 
 Every pass takes a :class:`~quilopt.ir.Program` and returns a new one;
 the program text is the single source of truth.  Passes work one trace
-segment at a time.  Reordering passes segment the program once, then
-build each segment's graph on the current program just before rewriting
-it, so later segments always see the earlier rewrites.
+segment at a time.  Reordering passes call :func:`graphs.build_ddgs` once,
+then rebind each trace to the current program just before rewriting it,
+so each segment's edges are built after the earlier segments' rewrites.
 
 Reordering passes produce a new execution order for a segment and write
 it back by *range projection*: the segment's positions are split into
@@ -17,6 +17,7 @@ the control structure is preserved exactly.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -261,10 +262,10 @@ def _apply_orderings(program: ir.Program, order_segment) -> ir.Program:
     trace paths found up front stay valid; each segment's graph is built
     on the current program, after the earlier segments were rewritten.
     """
-    for spec in graphs.segment(program):
-        ddg = Ddg(program, *spec)
+    for ddg in graphs.build_ddgs(program):
         if len(ddg) < 2:
             continue
+        ddg = dataclasses.replace(ddg, program=program)
         program = _write_back(program, ddg, order_segment(ddg))
     return program
 
@@ -283,7 +284,14 @@ def _pinned_terminator(ddg: Ddg):
 
 def _order_balanced(ddg: Ddg) -> list[int]:
     """Queue hybrid instructions with their dependencies, keeping the two
-    devices' instruction counts balanced along the way."""
+    devices' instruction counts balanced along the way.
+
+    A target's pending dependencies are its hybrid dependencies not yet
+    queued.  Those are all its pending ancestors: the queue only ever
+    takes an instruction after all of its predecessors, and every hybrid
+    ancestor of a target is an earlier target, so everything behind it is
+    queued already.
+    """
     terminator = _pinned_terminator(ddg)
     path = list(ddg.path)
     rank = {pos: i for i, pos in enumerate(path)}
@@ -313,7 +321,7 @@ def _order_balanced(ddg: Ddg) -> list[int]:
         if target in queued_set:
             continue
         deps = sorted(
-            (p for p in ddg.ancestors(target) if p not in queued_set),
+            analyses.hybrid_dependencies(ddg, target) - queued_set,
             key=rank.__getitem__,
         )
         quantum = sum(1 for p in deps if cls[p] is ir.DeviceClass.QUANTUM)

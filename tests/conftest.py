@@ -1,4 +1,5 @@
-"""Shared test helpers, chiefly a seeded random-program generator.
+"""Shared test helpers: a seeded random-program generator, and lookups
+on the traces of ``graphs.build_ddgs`` that only tests need.
 
 The generator only emits forward jumps, so every generated program
 terminates and can be run through the reference simulator.  Classical ops
@@ -26,6 +27,24 @@ _2Q_GATES = ["CNOT", "CZ", "SWAP"]
 
 _INT_OPS = ["ADD", "SUB", "MUL", "AND", "IOR", "XOR"]
 _REAL_OPS = ["ADD", "SUB", "MUL"]
+
+
+def by_id(ddgs) -> dict:
+    """The traces of ``graphs.build_ddgs`` by their id."""
+    return {d.id: d for d in ddgs}
+
+
+def ancestors(ddg, pos: int) -> set[int]:
+    """All positions ``pos`` transitively depends on: a full walk of the
+    predecessor edges, the reference for walks that stop early."""
+    out: set[int] = set()
+    stack = list(ddg.pred[pos])
+    while stack:
+        p = stack.pop()
+        if p not in out:
+            out.add(p)
+            stack.extend(ddg.pred[p])
+    return out
 
 
 def _random_classical(rng: random.Random, declares: list[ir.Declare]) -> ir.Classical:

@@ -91,7 +91,7 @@ def test_three_trace_dependency_graphs():
 def test_feedback_chain_hybrid_dependencies():
     """Hybrid instructions report exactly their blocking ancestors."""
     program = ir.parse(FEEDBACK_EXAMPLE)
-    deps = analyses.find_hybrid_dependencies(graphs.build_ddgs(program).start)
+    deps = analyses.find_hybrid_dependencies(graphs.build_ddgs(program)[0])
     # Positions: 0 DECLARE, 1 H 0, 2 MEASURE 0 m, 3 RZ(m) 0.
     assert deps[3] == {2}
     assert deps[2] == {0, 1}

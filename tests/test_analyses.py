@@ -9,7 +9,7 @@ from quilopt import analyses, graphs, ir, transforms
 from quilopt.analyses import PAULI_STATES, PAULI_TRANSITIONS
 from quilopt.fixtures import fixture_program
 
-from conftest import REGION_POOL, _random_classical, random_program
+from conftest import REGION_POOL, _random_classical, ancestors, by_id, random_program
 
 
 UNITARIES = {
@@ -37,7 +37,7 @@ def _same_up_to_phase(a, b):
 
 def _start_facts(text):
     ddgs = graphs.build_ddgs(ir.parse(text))
-    return ddgs.start, analyses.constant_propagation(ddgs.start)
+    return ddgs[0], analyses.constant_propagation(ddgs[0])
 
 
 class TestPauliTable:
@@ -78,7 +78,7 @@ class TestConstantCells:
                 "MOVE a 5\nMOVE b 7\nADD a b\nMOVE b a\nSUB b 2\nNEG b\n"
             )
         )
-        f = analyses.constant_propagation(ddgs.start)
+        f = analyses.constant_propagation(ddgs[0])
         assert f.cell_value(7, ("m", "b", 0)) == 10
 
     def test_unknown_operand_kills_dest(self):
@@ -160,8 +160,8 @@ class TestConstantCells:
             "LABEL @merge\nADD a 1\nMEASURE 0 ro\nJUMP-WHEN @merge ro\n"
         )
         ddgs = graphs.build_ddgs(ir.parse(text))
-        facts = analyses.constant_propagation(ddgs.start)
-        add_index = ddgs.start.path.index(4)
+        facts = analyses.constant_propagation(ddgs[0])
+        add_index = ddgs[0].path.index(4)
         assert facts.cell_value(add_index, ("m", "a", 0)) is None
 
     def test_unreferenced_label_keeps_facts(self):
@@ -169,8 +169,8 @@ class TestConstantCells:
             "DECLARE a INTEGER\nMOVE a 5\nLABEL @unused\nADD a 1\n"
         )
         ddgs = graphs.build_ddgs(ir.parse(text))
-        facts = analyses.constant_propagation(ddgs.start)
-        add_index = ddgs.start.path.index(3)
+        facts = analyses.constant_propagation(ddgs[0])
+        add_index = ddgs[0].path.index(3)
         assert facts.cell_value(add_index, ("m", "a", 0)) == 5
 
     def test_facts_match_concrete_machine(self):
@@ -187,13 +187,13 @@ class TestConstantCells:
             ]
             program = ir.Program(tuple(decls + body))
             ddgs = graphs.build_ddgs(program)
-            facts = analyses.constant_propagation(ddgs.start)
+            facts = analyses.constant_propagation(ddgs[0])
             memory = {
                 ("m", d.name, i): 0 if d.kind != "REAL" else 0.0
                 for d in decls
                 for i in range(d.size)
             }
-            for k, pos in enumerate(ddgs.start.path):
+            for k, pos in enumerate(ddgs[0].path):
                 for token, value in facts.cells_before[k].items():
                     assert memory[token] == value, (program.to_text(), pos)
                 _execute_classical(program, program.instructions[pos], memory)
@@ -274,7 +274,7 @@ class TestQubitFacts:
             "Y 0\nLABEL @l\nZ 0\nMEASURE 0 m\n"
         )
         ddgs = graphs.build_ddgs(ir.parse(text))
-        halt = ddgs.by_id["halt1"]
+        halt = by_id(ddgs)["halt1"]
         facts = analyses.constant_propagation(halt)
         assert facts.qubit_state(0, 0) is None
 
@@ -324,7 +324,7 @@ class TestQubitFacts:
                 ("RESET 0" if name == "RESET" else f"{name} 0") for name in ops
             )
             ddgs = graphs.build_ddgs(ir.parse(text + "\n"))
-            facts = analyses.constant_propagation(ddgs.start)
+            facts = analyses.constant_propagation(ddgs[0])
             state = STATE_VECTORS["Z+"].copy()
             for k, name in enumerate(ops):
                 claimed = facts.qubit_state(k, 0)
@@ -344,7 +344,7 @@ class TestLiveness:
             "MOVE a 3\nADD a 10\nMOVE b 7\nMOVE a 10\n"
         )
         ddgs = graphs.build_ddgs(ir.parse(text))
-        result = analyses.live_variables(ddgs.start, readout=["a"])
+        result = analyses.live_variables(ddgs[0], readout=["a"])
         assert (3, ("m", "a", 0)) in result.dead_cells
         assert (4, ("m", "b", 0)) in result.dead_cells
         assert (2, ("m", "a", 0)) not in result.dead_cells
@@ -352,20 +352,20 @@ class TestLiveness:
 
     def test_readout_cells_live_at_end(self):
         ddgs = graphs.build_ddgs(ir.parse("DECLARE a INTEGER\nMOVE a 3\n"))
-        result = analyses.live_variables(ddgs.start, readout=["a"])
+        result = analyses.live_variables(ddgs[0], readout=["a"])
         assert (1, ("m", "a", 0)) not in result.dead_cells
-        dead = analyses.live_variables(ddgs.start, readout=[])
+        dead = analyses.live_variables(ddgs[0], readout=[])
         assert (1, ("m", "a", 0)) in dead.dead_cells
 
     def test_rejects_trace_that_can_continue(self):
         ddgs = graphs.build_ddgs(fixture_program("rus"))
-        for ddg in ddgs.halts():
+        for ddg in (d for d in ddgs if d.role is graphs.Role.HALT):
             with pytest.raises(ValueError):
                 analyses.live_variables(ddg, readout=["ro"])
 
     def test_unstored_qubit_is_dead(self):
         ddgs = graphs.build_ddgs(fixture_program("teleportation"))
-        halt2 = ddgs.by_id["halt2"]
+        halt2 = by_id(ddgs)["halt2"]
         result = analyses.live_variables(halt2, readout=["ro"])
         assert (12, 2) in result.dead_qubits
         assert all(token != ("m", "ro", 0) for _, token in result.dead_cells)
@@ -373,7 +373,7 @@ class TestLiveness:
     def test_measured_qubit_is_live_above(self):
         text = "DECLARE m BIT\nH 0\nCNOT 0 1\nMEASURE 1 m\nHALT\n"
         ddgs = graphs.build_ddgs(ir.parse(text))
-        result = analyses.live_variables(ddgs.start, readout=["m"])
+        result = analyses.live_variables(ddgs[0], readout=["m"])
         assert (1, 0) not in result.dead_qubits
         # The control line itself is unobserved after the entangling gate.
         assert (2, 0) in result.dead_qubits
@@ -382,7 +382,7 @@ class TestLiveness:
     def test_reset_kills_qubit_liveness(self):
         text = "DECLARE m BIT\nH 0\nRESET 0\nMEASURE 0 m\nHALT\n"
         ddgs = graphs.build_ddgs(ir.parse(text))
-        result = analyses.live_variables(ddgs.start, readout=["m"])
+        result = analyses.live_variables(ddgs[0], readout=["m"])
         assert (1, 0) in result.dead_qubits
 
     def test_terminating_traces_never_contain_conditional_jumps(self):
@@ -402,29 +402,29 @@ class TestLiveness:
     def test_undeclared_readout_errors(self):
         ddgs = graphs.build_ddgs(ir.parse("DECLARE a INTEGER\nMOVE a 1\n"))
         with pytest.raises(ir.ValidationError):
-            analyses.live_variables(ddgs.start, readout=["nope"])
+            analyses.live_variables(ddgs[0], readout=["nope"])
 
 
 class TestHybridDependencies:
     def test_measurement_feedback_chain(self):
         text = "DECLARE m INTEGER[1]\nH 0\nMEASURE 0 m\nRZ(m) 0\n"
         ddgs = graphs.build_ddgs(ir.parse(text))
-        deps = analyses.find_hybrid_dependencies(ddgs.start)
+        deps = analyses.find_hybrid_dependencies(ddgs[0])
         assert deps[3] == {2}
         assert deps[2] == {0, 1}
 
     def test_teleportation_start(self):
         ddgs = graphs.build_ddgs(fixture_program("teleportation"))
-        deps = analyses.find_hybrid_dependencies(ddgs.start)
+        deps = analyses.find_hybrid_dependencies(ddgs[0])
         assert deps[7] == {5}
         assert deps[6] == {1, 2, 3}
         assert deps[5] == {0, 2, 3, 4}
 
     def test_only_hybrids_have_entries(self):
         ddgs = graphs.build_ddgs(fixture_program("teleportation"))
-        deps = analyses.find_hybrid_dependencies(ddgs.start)
+        deps = analyses.find_hybrid_dependencies(ddgs[0])
         for pos in deps:
-            instr = ddgs.start.instruction_at(pos)
+            instr = ddgs[0].instruction_at(pos)
             assert ir.device_class(instr) is ir.DeviceClass.HYBRID
 
     def test_deps_are_ancestors_and_cover_direct_preds(self):
@@ -434,6 +434,5 @@ class TestHybridDependencies:
             for ddg in graphs.build_ddgs(program):
                 deps = analyses.find_hybrid_dependencies(ddg)
                 for pos, dep_set in deps.items():
-                    ancestors = ddg.ancestors(pos)
-                    assert dep_set <= ancestors
+                    assert dep_set <= ancestors(ddg, pos)
                     assert set(ddg.pred.get(pos, ())) <= dep_set

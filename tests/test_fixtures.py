@@ -79,7 +79,7 @@ class TestInitialProfiles:
         # Six classical and four quantum slots before the first
         # measurement; the last hybrid lands at tick 33 with a purely
         # classical tail.
-        start = graphs.build_ddgs(fixture_program("ipe")).start
+        start = graphs.build_ddgs(fixture_program("ipe"))[0]
         sched = metrics.simulate(start.instructions)
         assert sched.classical_before_first_hybrid == 6
         assert sched.quantum_before_first_hybrid == 4

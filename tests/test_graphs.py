@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_program
+from conftest import ancestors, by_id, random_program
 from quilopt import graphs, ir, metrics, transforms
 from quilopt.fixtures import WORKLOADS, fixture_program
 from quilopt.graphs import Role
@@ -89,7 +89,7 @@ class TestSegmentation:
         p = ir.parse("X 0\nJUMP @end\nY 0\nLABEL @end\nZ 0\n")
         ddgs = graphs.build_ddgs(p)
         assert len(ddgs) == 1
-        assert ddgs.start.path == (0, 4)  # jump and label are not nodes
+        assert ddgs[0].path == (0, 4)  # jump and label are not nodes
 
     def test_jump_cycle_is_an_error(self):
         p = ir.parse("LABEL @a\nJUMP @a\n")
@@ -116,8 +116,8 @@ class TestSegmentation:
     def test_conditional_jump_ends_its_trace(self):
         p = ir.parse("DECLARE c BIT\nJUMP-WHEN @l c\nX 0\nLABEL @l\n")
         ddgs = graphs.build_ddgs(p)
-        assert ddgs.start.path == (0, 1)
-        last = ddgs.start.instruction_at(ddgs.start.path[-1])
+        assert ddgs[0].path == (0, 1)
+        last = ddgs[0].instruction_at(ddgs[0].path[-1])
         assert isinstance(last, ir.JumpWhen)
 
     def test_extended_halt_when_fall_through_is_empty(self):
@@ -126,8 +126,8 @@ class TestSegmentation:
         p = ir.parse("DECLARE c BIT\nLABEL @top\nX 0\nJUMP-WHEN @top c\n")
         ddgs = graphs.build_ddgs(p)
         assert [d.id for d in ddgs] == ["start", "halt1"]
-        assert ddgs.by_id["halt1"].role is Role.HALT
-        assert not ddgs.by_id["halt1"].ends_program
+        assert by_id(ddgs)["halt1"].role is Role.HALT
+        assert not by_id(ddgs)["halt1"].ends_program
 
     def test_interior_when_both_continuations_exist(self):
         text = (
@@ -139,14 +139,14 @@ class TestSegmentation:
         )
         ddgs = graphs.build_ddgs(ir.parse(text))
         # trace from the fall-through of the *first* jump ends the program
-        assert ddgs.by_id["halt1"].path == (2, 4)
-        assert ddgs.start.role is Role.START
+        assert by_id(ddgs)["halt1"].path == (2, 4)
+        assert ddgs[0].role is Role.START
 
     def test_empty_program(self):
         ddgs = graphs.build_ddgs(ir.Program())
         assert len(ddgs) == 1
-        assert ddgs.start.path == ()
-        assert ddgs.start.role is Role.START
+        assert ddgs[0].path == ()
+        assert ddgs[0].role is Role.START
 
     def test_halt_role_numbering_by_entry_position(self):
         ddgs = graphs.build_ddgs(fixture_program("rus"))
@@ -156,20 +156,20 @@ class TestSegmentation:
 class TestEdges:
     def test_chain_reduces_to_consecutive_edges(self):
         p = ir.parse("DECLARE a INTEGER\nMOVE a 1\nADD a 2\nADD a 3\n")
-        ddg = graphs.build_ddgs(p).start
+        ddg = graphs.build_ddgs(p)[0]
         assert ddg.edges == {(0, 1), (1, 2), (2, 3)}
 
     def test_independent_instructions_have_no_edge(self):
         p = ir.parse("X 0\nY 1\n")
-        assert graphs.build_ddgs(p).start.edges == frozenset()
+        assert graphs.build_ddgs(p)[0].edges == frozenset()
 
     def test_redundant_edges_are_removed(self):
         p = ir.parse("H 0\nH 1\nCNOT 0 1\nX 0\nY 1\n")
-        ddg = graphs.build_ddgs(p).start
+        ddg = graphs.build_ddgs(p)[0]
         assert ddg.edges == {(0, 2), (1, 2), (2, 3), (2, 4)}
 
     def test_teleportation_edges(self):
-        ddg = graphs.build_ddgs(fixture_program("teleportation")).start
+        ddg = graphs.build_ddgs(fixture_program("teleportation"))[0]
         assert (4, 5) in ddg.edges   # CNOT 0 1 -> MEASURE 1 m
         assert (5, 7) in ddg.edges   # MEASURE 1 m -> JUMP-WHEN ... m
         assert (0, 5) in ddg.edges   # DECLARE m -> MEASURE 1 m
@@ -179,10 +179,10 @@ class TestEdges:
 
     def test_ancestors(self):
         p = ir.parse("H 0\nH 1\nCNOT 0 1\nX 0\n")
-        ddg = graphs.build_ddgs(p).start
-        assert ddg.ancestors(3) == {0, 1, 2}
-        assert ddg.ancestors(2) == {0, 1}
-        assert ddg.ancestors(0) == set()
+        ddg = graphs.build_ddgs(p)[0]
+        assert ancestors(ddg, 3) == {0, 1, 2}
+        assert ancestors(ddg, 2) == {0, 1}
+        assert ancestors(ddg, 0) == set()
 
     def test_transitive_reduction_unit(self):
         assert graphs.transitive_reduction(3, {(0, 1), (1, 2), (0, 2)}) == {
@@ -258,14 +258,14 @@ class TestEdgeBuilder:
     )
     def test_reset_cases_match_reference(self, body):
         program = ir.parse("DECLARE ro BIT[2]\n" + body + "\n")
-        ddg = graphs.build_ddgs(program).start
+        ddg = graphs.build_ddgs(program)[0]
         assert ddg.edges == reference_graph(ddg)
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(_RESET_HEAVY_INSTR, max_size=24))
     def test_reset_heavy_programs_match_reference(self, body):
         program = ir.Program((ir.Declare("ro", "BIT", 2),) + tuple(body))
-        ddg = graphs.build_ddgs(program).start
+        ddg = graphs.build_ddgs(program)[0]
         assert ddg.edges == reference_graph(ddg)
 
     @settings(max_examples=300, deadline=None)
@@ -325,6 +325,14 @@ class TestLazyEdges:
             calls.clear()
 
 
+def traces(program):
+    """What identifies each trace of ``program``, without its graph."""
+    return [
+        (d.id, d.role, d.entry, d.anchor, d.path, d.ends_program)
+        for d in graphs.build_ddgs(program)
+    ]
+
+
 class TestSegmentOnce:
     """Reordering passes segment once up front: they must leave every
     trace path where it was."""
@@ -332,9 +340,9 @@ class TestSegmentOnce:
     PASSES = ("hybrid-deps-reorder", "hybrid-deps-latest-quantum")
 
     def check(self, program):
-        before = graphs.segment(program)
+        before = traces(program)
         for name in self.PASSES:
-            assert graphs.segment(transforms.apply_pass(program, name)) == before
+            assert traces(transforms.apply_pass(program, name)) == before
 
     def test_fixtures(self):
         for name in WORKLOADS:
@@ -343,14 +351,6 @@ class TestSegmentOnce:
     def test_random_programs(self):
         for seed in range(200):
             self.check(random_program(random.Random(seed)))
-
-    def test_build_ddgs_follows_segment(self):
-        program = fixture_program("rus")
-        specs = graphs.segment(program)
-        assert [
-            (d.id, d.role, d.entry, d.anchor, d.path, d.ends_program)
-            for d in graphs.build_ddgs(program)
-        ] == specs
 
 
 class TestCfg:
@@ -400,7 +400,7 @@ class TestCfg:
 
 class TestDot:
     def test_ddg_dot(self):
-        ddg = graphs.build_ddgs(fixture_program("teleportation")).start
+        ddg = graphs.build_ddgs(fixture_program("teleportation"))[0]
         dot = graphs.ddg_to_dot(ddg)
         assert dot.startswith('digraph "start" {')
         for pos in ddg.path:

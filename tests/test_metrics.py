@@ -5,7 +5,7 @@ import random
 import pytest
 
 from quilopt import graphs, ir, metrics
-from quilopt.fixtures import fixture_program
+from quilopt.fixtures import WORKLOADS, fixture_program
 
 from conftest import random_program
 
@@ -54,20 +54,20 @@ class TestSimulate:
     def test_parallel_classical_quantum(self):
         # CPU and QPU advance independently; the makespan is the max.
         p = ir.parse("DECLARE a INTEGER\nMOVE a 1\nADD a 2\nH 0\n")
-        assert metrics.wall_time(p.instructions) == 3
+        assert metrics.simulate(p.instructions).wall == 3
 
     def test_hybrid_synchronizes(self):
         p = ir.parse("DECLARE a INTEGER\nH 0\nX 0\nMEASURE 0 a\n")
         # cpu=1, qpu=2, measure -> max(1, 2) + 1 = 3
-        assert metrics.wall_time(p.instructions) == 3
+        assert metrics.simulate(p.instructions).wall == 3
 
     def test_all_hybrid_sequence_walls_n(self):
         p = ir.parse("DECLARE a BIT\n" + "MEASURE 0 a\n" * 5)
-        assert metrics.wall_time(p.instructions[1:]) == 5
+        assert metrics.simulate(p.instructions[1:]).wall == 5
 
     def test_labels_are_free(self):
         p = ir.parse("LABEL @a\nH 0\nLABEL @b\nX 0\n")
-        assert metrics.wall_time(p.instructions) == 2
+        assert metrics.simulate(p.instructions).wall == 2
 
     def test_prefix_and_tail_counters(self):
         p = ir.parse(WALKTHROUGH)
@@ -86,7 +86,7 @@ class TestSimulate:
             counts = {cls: 0 for cls in ir.DeviceClass}
             for instr in body:
                 counts[ir.device_class(instr)] += 1
-            wall = metrics.wall_time(p.instructions)
+            wall = metrics.simulate(p.instructions).wall
             lower = (
                 max(counts[ir.DeviceClass.CLASSICAL], counts[ir.DeviceClass.QUANTUM])
                 + counts[ir.DeviceClass.HYBRID]
@@ -96,11 +96,11 @@ class TestSimulate:
 
 class TestWallTimes:
     def test_walkthrough(self):
-        assert metrics.wall_time(ir.parse(WALKTHROUGH).instructions) == 9
+        assert metrics.simulate(ir.parse(WALKTHROUGH).instructions).wall == 9
 
     def test_branchy_per_segment(self):
         ddgs = _mk(BRANCHY)
-        assert [metrics.wall_time(d.instructions) for d in ddgs] == [3, 3, 2]
+        assert [metrics.simulate(d.instructions).wall for d in ddgs] == [3, 3, 2]
 
     def test_teleportation(self):
         rep = metrics.report(fixture_program("teleportation"))
@@ -115,35 +115,35 @@ class TestWallTimes:
 
 class TestQin:
     def test_classical_only(self):
-        assert metrics.qin(_mk("DECLARE a INTEGER\nMOVE a 3\n")) == 0
+        assert metrics.report(ir.parse("DECLARE a INTEGER\nMOVE a 3\n")).qin == 0
 
     def test_counts_hybrids(self):
-        assert metrics.qin(_mk("DECLARE m BIT\nH 0\nMEASURE 0 m\n")) == 2
+        assert metrics.report(ir.parse("DECLARE m BIT\nH 0\nMEASURE 0 m\n")).qin == 2
 
     def test_branchy(self):
-        assert metrics.qin(_mk(BRANCHY)) == 8
+        assert metrics.report(ir.parse(BRANCHY)).qin == 8
 
     def test_teleportation(self):
-        assert metrics.qin(_mk(fixture_program("teleportation").to_text())) == 9
+        assert metrics.report(fixture_program("teleportation")).qin == 9
 
     def test_rus(self):
-        assert metrics.qin(_mk(fixture_program("rus").to_text())) == 34
+        assert metrics.report(fixture_program("rus")).qin == 34
 
 
 class TestQct:
     def test_empty_program(self):
-        assert metrics.qct(_mk("")) == 0
+        assert metrics.report(ir.parse("")).qct == 0
 
     def test_classical_only(self):
-        assert metrics.qct(_mk("DECLARE a INTEGER\nMOVE a 1\nADD a 2\n")) == 0
+        assert metrics.report(ir.parse("DECLARE a INTEGER\nMOVE a 1\nADD a 2\n")).qct == 0
 
     def test_no_hybrid_equals_quantum_count(self):
-        assert metrics.qct(_mk("H 0\nX 0\nZ 1\n")) == 3
+        assert metrics.report(ir.parse("H 0\nX 0\nZ 1\n")).qct == 3
 
     def test_hybrid_only_holds_qpu(self):
         # No quantum prefix: the idle QPU anchors the span at time zero and
         # is then held through the final synchronization.
-        assert metrics.qct(_mk("DECLARE m BIT\nMEASURE 0 m\nHALT\n")) == 3
+        assert metrics.report(ir.parse("DECLARE m BIT\nMEASURE 0 m\nHALT\n")).qct == 3
 
     def test_walkthrough_breakdown(self):
         b = metrics.qct_breakdown(_mk(WALKTHROUGH))
@@ -153,24 +153,22 @@ class TestQct:
         assert b["total"] == 9
 
     def test_branchy(self):
-        assert metrics.qct(_mk(BRANCHY)) == 8
+        assert metrics.report(ir.parse(BRANCHY)).qct == 8
 
     def test_teleportation_worst_case(self):
-        assert metrics.qct(_mk(fixture_program("teleportation").to_text())) == 10
+        assert metrics.report(fixture_program("teleportation")).qct == 10
 
     def test_rus(self):
-        assert metrics.qct(_mk(fixture_program("rus").to_text())) == 35
+        assert metrics.report(fixture_program("rus")).qct == 35
 
     def test_qct_at_least_quantum_tail_path(self):
         # QCT can never be below the plain quantum count of the start trace.
         rng = random.Random(31)
         for _ in range(40):
             p = random_program(rng, max_jumps=2)
-            ddgs = graphs.build_ddgs(p)
-            start_q = ddgs.start.class_counts()[ir.DeviceClass.QUANTUM]
-            assert metrics.qct(ddgs) >= min(
-                start_q,
-                metrics.simulate(ddgs.start.instructions).quantum_before_first_hybrid,
+            start = metrics.simulate(graphs.build_ddgs(p)[0].instructions)
+            assert metrics.report(p).qct >= min(
+                start.quantum, start.quantum_before_first_hybrid
             )
 
 
@@ -208,6 +206,22 @@ class TestReport:
             rep = metrics.report(random_program(rng))
             assert rep.total_wall_time == sum(rep.wall_profile)
             assert rep.instr_total == sum(rep.instr_profile)
+
+    def test_schedules_each_trace_once(self, monkeypatch):
+        calls = []
+        simulate = metrics.simulate
+
+        def counting_simulate(sequence):
+            calls.append(1)
+            return simulate(sequence)
+
+        monkeypatch.setattr(metrics, "simulate", counting_simulate)
+        for name in WORKLOADS:
+            program = fixture_program(name)
+            traces = len(graphs.build_ddgs(program))
+            calls.clear()
+            metrics.report(program)
+            assert len(calls) == traces, name
 
     def test_empty_program(self):
         rep = metrics.report(ir.Program())

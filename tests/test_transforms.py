@@ -6,10 +6,10 @@ import sys
 import pytest
 
 from quilopt import graphs, ir, metrics, oracle, transforms
-from quilopt.fixtures import fixture_program
+from quilopt.fixtures import WORKLOADS, fixture_program
 from quilopt.transforms import PASS_PAIRS
 
-from conftest import random_program
+from conftest import ancestors, random_program, random_retry_program
 
 # Same twelve-line workload as the metrics tests: two measurements with a
 # classically parametrized rotation between them.
@@ -201,6 +201,12 @@ class TestConstantFold:
         assert report.total_wall_time == 9
         assert report.qct == 9
 
+    def test_facts_survive_a_later_declare(self):
+        # A DECLARE does nothing at run time: the MOVE above it still holds.
+        program = ir.parse("MOVE a 5\nDECLARE a INTEGER\nADD a 1\n")
+        out, _ = transforms.constant_fold(program)
+        assert out == ir.parse("MOVE a 5\nDECLARE a INTEGER\nMOVE a 6\n")
+
     def test_idempotent(self):
         rng = random.Random(2024)
         programs = [ir.parse(WALKTHROUGH), fixture_program("teleportation")]
@@ -279,6 +285,13 @@ class TestDeadCodeElim:
         out = transforms.dead_code_elim(program)
         assert ir.Classical("MOVE", (ir.MemoryRef("a", 0), 2)) in out.instructions
 
+    def test_declare_after_a_write_is_not_a_write(self):
+        program = ir.parse("MOVE ro 1\nDECLARE ro BIT\n")
+        out = transforms.dead_code_elim(program)
+        assert out == program
+        ok, distance = oracle.equivalent(program, out)
+        assert ok, f"readout changed by {distance}"
+
     def test_preserves_semantics_on_random_programs(self):
         rng = random.Random(4242)
         for _ in range(40):
@@ -328,6 +341,65 @@ class TestReorder:
         assert report.qct == 35
         ok, distance = oracle.equivalent(program, out)
         assert ok, f"readout changed by {distance}"
+
+    def test_matches_ancestor_walk_reference(self):
+        programs = [fixture_program(name) for name in WORKLOADS]
+        programs += [random_program(random.Random(seed)) for seed in range(200)]
+        programs += [random_retry_program(random.Random(seed)) for seed in range(100)]
+        for program in programs:
+            for ddg in graphs.build_ddgs(program):
+                assert transforms._order_balanced(ddg) == (
+                    _reference_balanced(ddg)
+                ), (program, ddg.id)
+
+
+def _reference_balanced(ddg):
+    """The balanced order with each target's pending dependencies found by
+    walking all of its ancestors, not only those up to the nearest
+    hybrids."""
+    terminator = transforms._pinned_terminator(ddg)
+    path = list(ddg.path)
+    rank = {pos: i for i, pos in enumerate(path)}
+    cls = {pos: ir.device_class(ddg.instruction_at(pos)) for pos in path}
+    relevant = [
+        p for p in path if cls[p] is ir.DeviceClass.HYBRID and p != terminator
+    ]
+    if path[-1] != terminator and path[-1] not in relevant:
+        relevant.append(path[-1])
+    queued: list[int] = []
+
+    def executable(kind):
+        return next(
+            (
+                p
+                for p in path
+                if p not in queued
+                and p != terminator
+                and cls[p] is kind
+                and all(a in queued for a in ddg.pred[p])
+            ),
+            None,
+        )
+
+    for target in relevant:
+        if target in queued:
+            continue
+        deps = sorted(ancestors(ddg, target) - set(queued), key=rank.__getitem__)
+        queued += deps
+        counts = {kind: sum(cls[p] is kind for p in deps) for kind in ir.DeviceClass}
+        quantum, classical = ir.DeviceClass.QUANTUM, ir.DeviceClass.CLASSICAL
+        while counts[quantum] != counts[classical]:
+            lagging = classical if counts[quantum] > counts[classical] else quantum
+            pick = executable(lagging)
+            if pick is None:
+                break
+            queued.append(pick)
+            counts[lagging] += 1
+        queued.append(target)
+    queued += [p for p in path if p not in queued and p != terminator]
+    if terminator is not None:
+        queued.append(terminator)
+    return queued
 
 
 # ---------------------------------------------------------------------------
@@ -391,7 +463,7 @@ def _reference_latest_quantum(ddg):
         p
         for p in path
         if cls[p] is ir.DeviceClass.CLASSICAL
-        and all(cls[a] is ir.DeviceClass.CLASSICAL for a in ddg.ancestors(p))
+        and all(cls[a] is ir.DeviceClass.CLASSICAL for a in ancestors(ddg, p))
     ]
     prefix = [
         p
