@@ -174,6 +174,13 @@ class Program:
     # Computed on first read and kept on the instance, read-only; equality
     # and hashing stay on ``instructions`` alone.
     @functools.cached_property
+    def _hash(self) -> int:
+        return hash(self.instructions)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @functools.cached_property
     def regions(self) -> Mapping[str, Declare]:
         """Declared memory regions, in declaration order."""
         return types.MappingProxyType(

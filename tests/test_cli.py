@@ -215,6 +215,15 @@ class TestOracle:
         # A tight step budget leaves part of the retry loop unexplored.
         assert document["truncated_mass"] > 0
 
+    @pytest.mark.parametrize(
+        "flags", [("--prune", "nan"), ("--prune", "-1"), ("--max-steps", "-5")]
+    )
+    def test_bad_bounds_are_refused(self, capsys, tiny_file, flags):
+        code, out, err = run_cli(capsys, "oracle", tiny_file, *flags)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ")
+
 
 class TestCompare:
     def test_diffs_two_reports(self, capsys, teleport_file, tmp_path):

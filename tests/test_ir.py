@@ -295,3 +295,12 @@ class TestProgram:
 
     def test_len(self):
         assert len(ir.parse("X 0\nY 0\n")) == 2
+
+    def test_equal_programs_hash_equal_and_share_a_key(self):
+        text = "DECLARE ro BIT\nH 0\nMEASURE 0 ro\n"
+        first, second = ir.parse(text), ir.parse(text)
+        assert first is not second
+        assert first == second and hash(first) == hash(second)
+        assert hash(first) == hash(first)  # cached after the first call
+        assert {first: 1, second: 2} == {first: 2}
+        assert first != ir.parse("DECLARE ro BIT\nX 0\nMEASURE 0 ro\n")

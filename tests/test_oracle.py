@@ -13,6 +13,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quilopt import ir, oracle, transforms
 from quilopt.fixtures import WORKLOADS, fixture_program
@@ -354,6 +356,23 @@ class TestDistributionProperties:
         with pytest.raises(ir.ValidationError):
             _dist("DECLARE a BIT\nX 0\n", readout=["b"])
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            pytest.param({"prune_epsilon": math.nan}, id="nan-prune"),
+            pytest.param({"prune_epsilon": -1.0}, id="negative-prune"),
+            pytest.param({"max_steps": -5}, id="negative-max-steps"),
+        ],
+    )
+    @pytest.mark.parametrize("check", ["run", "equivalent"])
+    def test_bounds_are_checked(self, kwargs, check):
+        program = ir.parse("DECLARE ro BIT\nH 0\nMEASURE 0 ro\n")
+        with pytest.raises(ir.QuilError):
+            if check == "run":
+                oracle.run(program, **kwargs)
+            else:
+                oracle.equivalent(program, program, **kwargs)
+
 
 class TestFixtures:
     def test_teleportation_is_deterministic_on_readout(self):
@@ -674,3 +693,127 @@ class TestFactor:
         assert _agree(program, 1e-12).truncated_mass == 0.0
         assert len(reference_calls) == 29
         assert columns == [1] * 29
+
+
+def _count_gate_work(monkeypatch):
+    """Every ``_apply_unitary`` call from now on, as its arguments."""
+    calls = []
+    apply = oracle._apply_unitary
+
+    def counting_apply(*args):
+        calls.append(args)
+        return apply(*args)
+
+    monkeypatch.setattr(oracle, "_apply_unitary", counting_apply)
+    return calls
+
+
+def _stepped(program, **kwargs):
+    """``oracle.run`` with every step stepped, none replayed."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(oracle, "REPLAY_MAX_QUBITS", -1)
+        return oracle.run(program, **kwargs)
+
+
+CHAINED_LOOPS = (
+    "DECLARE ro BIT\nDECLARE f BIT[2]\n"
+    "LABEL @a\nRESET 1\nH 1\nCNOT 1 0\nMEASURE 1 f[0]\nJUMP-WHEN @a f[0]\n"
+    "LABEL @b\nRESET 1\nH 1\nCNOT 1 0\nMEASURE 1 f[1]\nJUMP-WHEN @b f[1]\n"
+    "MEASURE 0 ro\n"
+)
+
+
+class TestReplay:
+    def test_each_loop_body_is_stepped_at_most_twice(self, monkeypatch):
+        # A retry stops at 1e-6 after about 20 iterations and at 1e-12 after
+        # about 40.  Each loop head is stepped twice, the second time also
+        # building its two Kraus operators, and replayed from then on, so
+        # the gate work is the same for both bounds.  Per loop: 2 gates x 2
+        # steps, the X of the reset and 2 gates x 2 operators.
+        program = ir.parse(CHAINED_LOOPS)
+        calls = _count_gate_work(monkeypatch)
+        counts = []
+        for prune in (1e-6, 1e-12):
+            calls.clear()
+            oracle.run(program, prune_epsilon=prune)
+            counts.append(len(calls))
+        assert counts == [18, 18]
+        _agree(program, 1e-9)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        max_steps=st.integers(1, 200),
+        prune_epsilon=st.sampled_from([0.0, 1e-12, 1e-4]),
+    )
+    def test_replay_agrees_with_stepping(self, seed, max_steps, prune_epsilon):
+        # Small step budgets cut loops mid-step, where a key's transfer no
+        # longer fits and the key is stepped instead; at 1e-4 a replayed
+        # outcome is pruned several iterations earlier.  (The branch-per-
+        # outcome reference is no yardstick there: a merged configuration
+        # keeps the larger step count of its members, so it truncates
+        # where the reference's separate branches do not.)
+        program = random_retry_program(random.Random(seed))
+        kwargs = {"max_steps": max_steps, "prune_epsilon": prune_epsilon}
+        got = oracle.run(program, **kwargs)
+        want = _stepped(program, **kwargs)
+        assert got.distance(want) <= 1e-9
+        assert abs(got.truncated_mass - want.truncated_mass) <= 1e-9
+
+    @pytest.mark.parametrize(
+        "text, calls",
+        [
+            pytest.param(
+                "DECLARE ro BIT\nDECLARE f BIT\nH 0\nH 1\nH 2\nH 3\nH 4\n"
+                "LABEL @retry\nRESET 5\nRY(1.1) 5\nCNOT 0 1\nT 2\nCNOT 3 4\n"
+                "CNOT 5 4\nMEASURE 5 f\nJUMP-WHEN @retry f\nMEASURE 0 ro\n",
+                115,
+                id="above-the-qubit-bound",
+            ),
+            pytest.param(
+                "DECLARE ro BIT\nDECLARE f BIT\n"
+                "LABEL @retry\nRESET\nRY(1.1) 1\nH 0\nCNOT 1 0\n"
+                "MEASURE 1 f\nJUMP-WHEN @retry f\nMEASURE 0 ro\n",
+                66,
+                id="bare-reset",
+            ),
+        ],
+    )
+    def test_what_is_never_replayed_does_todays_gate_work(
+        self, text, calls, monkeypatch
+    ):
+        # The counts are those of the oracle before replay existed: one
+        # gate application per gate per iteration, about 21 iterations.
+        program = ir.parse(text)
+        counted = _count_gate_work(monkeypatch)
+        assert oracle.run(program).truncated_mass < 1e-9
+        assert len(counted) == calls
+
+    def test_transfers_take_bounded_memory(self):
+        """Transfers take at most keys x outputs x operators x 4**n x 16
+        bytes, and go when ``run`` returns.
+
+        A three-bit counter in ro[0..2] steps on every retry and is read
+        out after the loop, so the loop's keys cycle through its eight
+        values: 39 keys at 5 qubits, the most that is replayed.  Each step
+        has at most two outputs, and its one RESET gives two operators.
+        """
+        program = ir.parse(
+            "DECLARE ro BIT[4]\nDECLARE f BIT\nDECLARE carry BIT\n"
+            "H 0\nH 1\nCNOT 1 2\n"
+            "LABEL @retry\nRESET 4\nRY(1.1) 4\nH 3\nCNOT 0 3\nT 1\nCNOT 2 0\n"
+            "MOVE carry ro[1]\nAND carry ro[0]\nXOR ro[2] carry\n"
+            "XOR ro[1] ro[0]\nNOT ro[0]\n"
+            "CNOT 4 3\nMEASURE 4 f\nJUMP-WHEN @retry f\nMEASURE 3 ro[3]\n"
+        )
+        assert oracle._qubit_count(program) == oracle.REPLAY_MAX_QUBITS
+        worst = 39 * 2 * 2 * 4**5 * 16  # about 2.6 MB
+        tracemalloc.start()
+        try:
+            d = oracle.run(program)
+            left, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(d.probabilities) == 14
+        assert peak < worst
+        assert left < 100_000  # the transfers went with the call
