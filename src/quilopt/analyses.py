@@ -9,11 +9,12 @@ All analyses here are per-segment and intentionally conservative:
   there with different values.
 * :func:`live_variables` runs backwards from the readout cells over a
   terminating trace and records writes that can never be observed.
-* :func:`hybrid_dependencies` lists the instructions one position needs
-  that are not already implied by an earlier hybrid instruction;
-  :func:`find_hybrid_dependencies` gives them for every hybrid
-  instruction, and the ``hybrid-deps-reorder`` pass queues each hybrid
-  target after them.
+* :func:`find_hybrid_dependencies` gives, for every hybrid instruction,
+  the instructions it reaches by walking the DDG's edges backwards, each
+  branch stopping at the first hybrid instruction it meets.  Only that
+  branch stops: another branch can go round the same hybrid along
+  another qubit's gates, so the result can hold instructions that an
+  earlier hybrid in it also depends on.
 
 A ``DECLARE`` changes nothing at run time (memory starts zeroed from the
 program's regions, wherever the declaration sits), so no analysis here
@@ -372,30 +373,31 @@ def live_variables(ddg: Ddg, readout) -> LivenessResult:
     return LivenessResult(frozenset(dead_cells), frozenset(dead_qubits))
 
 
-def hybrid_dependencies(ddg: Ddg, pos: int) -> set[int]:
-    """The closest instructions ``pos`` depends on.
-
-    Walks predecessor edges from ``pos``, stopping at the first hybrid
-    encountered on each branch: an earlier hybrid already implies
-    everything behind it.  Positions are program positions.
-    """
-    deps: set[int] = set()
-    stack = list(ddg.pred[pos])
-    while stack:
-        p = stack.pop()
-        if p in deps:
-            continue
-        deps.add(p)
-        if ir.device_class(ddg.instruction_at(p)) is not ir.DeviceClass.HYBRID:
-            stack.extend(ddg.pred[p])
-    return deps
-
-
 def find_hybrid_dependencies(ddg: Ddg) -> dict[int, frozenset[int]]:
-    """:func:`hybrid_dependencies` of every hybrid node, keyed by its
-    program position."""
-    return {
-        pos: frozenset(hybrid_dependencies(ddg, pos))
-        for pos in ddg.path
-        if ir.device_class(ddg.instruction_at(pos)) is ir.DeviceClass.HYBRID
-    }
+    """The closest instructions each hybrid node depends on, keyed by its
+    program position in path order.
+
+    Walks the DDG's edges back from each hybrid node, stopping at the
+    first hybrid encountered on each branch.
+    """
+    pred: dict[int, list[int]] = {pos: [] for pos in ddg.path}
+    for u, v in ddg.edges:
+        pred[v].append(u)
+    hybrids = [
+        pos
+        for pos, instr in zip(ddg.path, ddg.instructions)
+        if ir.device_class(instr) is ir.DeviceClass.HYBRID
+    ]
+    stops = set(hybrids)
+    found = {}
+    for pos in hybrids:
+        deps: set[int] = set()
+        stack = list(pred[pos])
+        while stack:
+            p = stack.pop()
+            if p not in deps:
+                deps.add(p)
+                if p not in stops:
+                    stack.extend(pred[p])
+        found[pos] = frozenset(deps)
+    return found

@@ -7,13 +7,19 @@ label is kept as an anchor) and unconditional jumps are threaded through.
 :func:`build_ddgs` is the one place that turns a program into its traces,
 each a :class:`Ddg`: a data-dependency graph over the trace's
 instructions with conflict edges (one instruction writes a resource
-another touches) restricted to trace order and then transitively
-reduced, which is unique on a DAG.  A Ddg holds only its trace until its
-edges are first read: passes and metrics that need the path alone never
-pay for them.  The edges come from one scan that tracks each resource's
-last writer and readers since that write, and the reduction walks the
-nodes once with int bitsets of what each reaches, so a trace's graph
-costs close to linear time in its length.
+another touches) restricted to trace order.  A Ddg gives its dependencies
+in two forms, each built on first read, so passes and metrics that need
+the path alone pay for neither:
+
+* ``edges`` -- the paper's DDG, transitively reduced (unique on a DAG),
+  for DOT output and the hybrid-dependency analysis;
+* ``ancestors`` -- one int bitset per trace index of everything that must
+  run before it, for the reordering passes.  A reduction keeps exactly
+  the reachability of the graph it reduces, so the passes skip it.
+
+Both start from one scan that tracks each resource's last writer and
+readers since that write; the reduction then walks the nodes once with
+int bitsets of what each reaches.
 
 Trace roles:
 
@@ -37,7 +43,6 @@ from __future__ import annotations
 
 import enum
 import functools
-from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -155,12 +160,15 @@ def transitive_reduction(n: int, edges: set[tuple[int, int]]) -> set[tuple[int, 
 class Ddg:
     """Data-dependency graph of one trace.
 
-    Nodes are source positions (``path``, in execution order); ``edges``
-    are transitively reduced dependencies between positions.  The path
-    order is always a valid topological order of the edges.  ``edges``,
-    ``succ`` and ``pred`` are built on first read and kept for the life of
-    the graph; ``dataclasses.replace(ddg, program=...)`` gives the same
-    trace over another program, with no edges built yet.
+    Nodes are source positions (``path``, in execution order).  ``edges``
+    are the transitively reduced dependencies between positions: the
+    paper's DDG, which DOT output and the analyses read.  ``ancestors``
+    holds, per trace index ``k``, an int whose bit ``i`` is set when
+    ``path[i]`` must run before ``path[k]``; the reordering passes need
+    only that.  The path order is always a valid topological order.  Both
+    are built on first read and kept for the life of the graph;
+    ``dataclasses.replace(ddg, program=...)`` gives the same trace over
+    another program, with neither built yet.
     """
 
     program: ir.Program = field(repr=False)
@@ -180,25 +188,16 @@ class Ddg:
         return frozenset((self.path[i], self.path[j]) for i, j in reduced)
 
     @functools.cached_property
-    def succ(self) -> dict[int, tuple[int, ...]]:
-        by_src: dict[int, list[int]] = defaultdict(list)
-        for u, v in self.edges:
-            by_src[u].append(v)
-        return {p: tuple(sorted(by_src[p])) for p in self.path}
-
-    @functools.cached_property
-    def pred(self) -> dict[int, tuple[int, ...]]:
-        by_dst: dict[int, list[int]] = defaultdict(list)
-        for u, v in self.edges:
-            by_dst[v].append(u)
-        return {p: tuple(sorted(by_dst[p])) for p in self.path}
+    def ancestors(self) -> tuple[int, ...]:
+        # Sorted pairs reach (i, j) only after every edge into i.
+        anc = [0] * len(self.path)
+        for i, j in sorted(_conflict_edges(self.instructions)):
+            anc[j] |= anc[i] | 1 << i
+        return tuple(anc)
 
     @property
     def instructions(self) -> tuple[ir.Instruction, ...]:
         return tuple(self.program.instructions[p] for p in self.path)
-
-    def instruction_at(self, pos: int) -> ir.Instruction:
-        return self.program.instructions[pos]
 
     def __len__(self) -> int:
         return len(self.path)
@@ -420,8 +419,7 @@ def _dot_escape(text: str) -> str:
 def ddg_to_dot(ddg: Ddg) -> str:
     """Render one Ddg as a GraphViz digraph."""
     lines = [f'digraph "{_dot_escape(ddg.id)}" {{', "  rankdir=TB;"]
-    for pos in ddg.path:
-        instr = ddg.instruction_at(pos)
+    for pos, instr in zip(ddg.path, ddg.instructions):
         color = _CLASS_COLORS[ir.device_class(instr)]
         label = _dot_escape(f"{pos}: {ir.instruction_text(instr)}")
         lines.append(

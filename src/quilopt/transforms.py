@@ -4,7 +4,9 @@ Every pass takes a :class:`~quilopt.ir.Program` and returns a new one;
 the program text is the single source of truth.  Passes work one trace
 segment at a time.  Reordering passes call :func:`graphs.build_ddgs` once,
 then rebind each trace to the current program just before rewriting it,
-so each segment's edges are built after the earlier segments' rewrites.
+so each segment's dependencies are found after the earlier segments'
+rewrites.  They order trace indices by ``Ddg.ancestors`` alone (what must
+run before what) and never build the reduced ``Ddg.edges``.
 
 Reordering passes produce a new execution order for a segment and write
 it back by *range projection*: the segment's positions are split into
@@ -270,12 +272,12 @@ def _apply_orderings(program: ir.Program, order_segment) -> ir.Program:
     return program
 
 
-def _pinned_terminator(ddg: Ddg):
-    if ddg.path and isinstance(
-        ddg.instruction_at(ddg.path[-1]), _CONTROL_TERMINATORS
-    ):
-        return ddg.path[-1]
-    return None
+def _bits(mask: int):
+    """Indices of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 # ---------------------------------------------------------------------------
@@ -286,73 +288,58 @@ def _order_balanced(ddg: Ddg) -> list[int]:
     """Queue hybrid instructions with their dependencies, keeping the two
     devices' instruction counts balanced along the way.
 
-    A target's pending dependencies are its hybrid dependencies not yet
-    queued.  Those are all its pending ancestors: the queue only ever
-    takes an instruction after all of its predecessors, and every hybrid
-    ancestor of a target is an earlier target, so everything behind it is
-    queued already.
+    Works on trace indices.  A target's pending dependencies are all its
+    ancestors not yet queued, taken in path order; a balancing pick is the
+    first unqueued instruction of the lagging device whose ancestors are
+    all queued.  A trailing jump or halt is pinned last.
     """
-    terminator = _pinned_terminator(ddg)
-    path = list(ddg.path)
-    rank = {pos: i for i, pos in enumerate(path)}
-    cls = {pos: ir.device_class(ddg.instruction_at(pos)) for pos in path}
+    instructions = ddg.instructions
+    ancestors = ddg.ancestors
+    n = len(instructions)
+    pinned = isinstance(instructions[-1], _CONTROL_TERMINATORS)
+    movable = n - 1 if pinned else n
+    cls = [ir.device_class(instr) for instr in instructions]
+    quantum, classical = ir.DeviceClass.QUANTUM, ir.DeviceClass.CLASSICAL
+    masks = dict.fromkeys(ir.DeviceClass, 0)
+    for k in range(movable):
+        masks[cls[k]] |= 1 << k
 
-    relevant = [
-        pos
-        for pos in path
-        if cls[pos] is ir.DeviceClass.HYBRID and pos != terminator
-    ]
-    last = path[-1]
-    if last != terminator and last not in relevant:
-        relevant.append(last)
+    targets = list(_bits(masks[ir.DeviceClass.HYBRID]))
+    if not pinned and cls[-1] is not ir.DeviceClass.HYBRID:
+        targets.append(n - 1)
 
-    queued: list[int] = []
-    queued_set: set[int] = set()
-
-    def executable(kind):
-        for pos in path:
-            if pos in queued_set or pos == terminator or cls[pos] is not kind:
-                continue
-            if all(p in queued_set for p in ddg.pred.get(pos, ())):
-                return pos
-        return None
-
-    for target in relevant:
-        if target in queued_set:
+    order: list[int] = []
+    done = 0
+    for target in targets:
+        if done >> target & 1:
             continue
-        deps = sorted(
-            analyses.hybrid_dependencies(ddg, target) - queued_set,
-            key=rank.__getitem__,
-        )
-        quantum = sum(1 for p in deps if cls[p] is ir.DeviceClass.QUANTUM)
-        classical = sum(1 for p in deps if cls[p] is ir.DeviceClass.CLASSICAL)
-        queued.extend(deps)
-        queued_set.update(deps)
-        while quantum != classical:
-            lagging = (
-                ir.DeviceClass.CLASSICAL
-                if quantum > classical
-                else ir.DeviceClass.QUANTUM
+        pending = ancestors[target] & ~done
+        order.extend(_bits(pending))
+        done |= pending
+        counts = {
+            quantum: (pending & masks[quantum]).bit_count(),
+            classical: (pending & masks[classical]).bit_count(),
+        }
+        while counts[quantum] != counts[classical]:
+            lagging = classical if counts[quantum] > counts[classical] else quantum
+            pick = next(
+                (
+                    k
+                    for k in _bits(masks[lagging] & ~done)
+                    if not ancestors[k] & ~done
+                ),
+                None,
             )
-            pick = executable(lagging)
             if pick is None:
                 break
-            queued.append(pick)
-            queued_set.add(pick)
-            if lagging is ir.DeviceClass.QUANTUM:
-                quantum += 1
-            else:
-                classical += 1
-        queued.append(target)
-        queued_set.add(target)
+            order.append(pick)
+            done |= 1 << pick
+            counts[lagging] += 1
+        order.append(target)
+        done |= 1 << target
 
-    for pos in path:
-        if pos not in queued_set and pos != terminator:
-            queued.append(pos)
-            queued_set.add(pos)
-    if terminator is not None:
-        queued.append(terminator)
-    return queued
+    order += [k for k in range(n) if not done >> k & 1]
+    return [ddg.path[k] for k in order]
 
 
 def reorder_instructions(program: ir.Program) -> ir.Program:
@@ -365,37 +352,26 @@ def reorder_instructions(program: ir.Program) -> ir.Program:
 
 
 def _order_latest_quantum(ddg: Ddg) -> list[int]:
-    path = list(ddg.path)
-    rank = {pos: i for i, pos in enumerate(path)}
-    cls = {pos: ir.device_class(ddg.instruction_at(pos)) for pos in path}
-
-    first_hybrid = next(
-        (pos for pos in path if cls[pos] is ir.DeviceClass.HYBRID), None
-    )
-    if first_hybrid is None:
-        ordered = [p for p in path if cls[p] is ir.DeviceClass.CLASSICAL]
-        ordered += [p for p in path if cls[p] is ir.DeviceClass.QUANTUM]
-        return ordered
-
-    # Classical nodes with only classical ancestors, in one sweep: the
-    # path is a topological order, so every predecessor is decided first.
-    pure: dict[int, bool] = {}
-    for p in path:
-        pure[p] = cls[p] is ir.DeviceClass.CLASSICAL and all(
-            pure[a] for a in ddg.pred[p]
+    cls = [ir.device_class(instr) for instr in ddg.instructions]
+    n = len(cls)
+    classical = [k for k in range(n) if cls[k] is ir.DeviceClass.CLASSICAL]
+    hybrid = [k for k in range(n) if cls[k] is ir.DeviceClass.HYBRID]
+    front = classical
+    if hybrid:
+        # Only classical nodes whose ancestors are all classical move up.
+        ancestors = ddg.ancestors
+        nonclassical = sum(
+            1 << k for k in range(n) if cls[k] is not ir.DeviceClass.CLASSICAL
         )
-    front = [p for p in path if pure[p]]
-    taken = set(front)
+        front = [k for k in classical if not ancestors[k] & nonclassical]
     prefix = [
-        p
-        for p in path
-        if p not in taken
-        and cls[p] is ir.DeviceClass.QUANTUM
-        and rank[p] < rank[first_hybrid]
+        k
+        for k in range(hybrid[0] if hybrid else n)
+        if cls[k] is ir.DeviceClass.QUANTUM
     ]
-    taken.update(prefix)
-    rest = [p for p in path if p not in taken]
-    return front + prefix + rest
+    taken = set(front + prefix)
+    rest = [k for k in range(n) if k not in taken]
+    return [ddg.path[k] for k in front + prefix + rest]
 
 
 def latest_possible_quantum(program: ir.Program) -> ir.Program:

@@ -34,16 +34,25 @@ def by_id(ddgs) -> dict:
     return {d.id: d for d in ddgs}
 
 
+def predecessors(ddg) -> dict[int, set[int]]:
+    """Each position's direct predecessors in ``ddg.edges``."""
+    pred: dict[int, set[int]] = {pos: set() for pos in ddg.path}
+    for u, v in ddg.edges:
+        pred[v].add(u)
+    return pred
+
+
 def ancestors(ddg, pos: int) -> set[int]:
     """All positions ``pos`` transitively depends on: a full walk of the
     predecessor edges, the reference for walks that stop early."""
+    pred = predecessors(ddg)
     out: set[int] = set()
-    stack = list(ddg.pred[pos])
+    stack = list(pred[pos])
     while stack:
         p = stack.pop()
         if p not in out:
             out.add(p)
-            stack.extend(ddg.pred[p])
+            stack.extend(pred[p])
     return out
 
 

@@ -9,7 +9,14 @@ from quilopt import analyses, graphs, ir, transforms
 from quilopt.analyses import PAULI_STATES, PAULI_TRANSITIONS
 from quilopt.fixtures import fixture_program
 
-from conftest import REGION_POOL, _random_classical, ancestors, by_id, random_program
+from conftest import (
+    REGION_POOL,
+    _random_classical,
+    ancestors,
+    by_id,
+    predecessors,
+    random_program,
+)
 
 
 UNITARIES = {
@@ -394,7 +401,7 @@ class TestLiveness:
             for ddg in graphs.build_ddgs(program):
                 if not ddg.ends_program:
                     continue
-                body = [ddg.instruction_at(p) for p in ddg.path]
+                body = ddg.instructions
                 assert not any(
                     isinstance(i, (ir.JumpWhen, ir.JumpUnless)) for i in body
                 )
@@ -424,7 +431,7 @@ class TestHybridDependencies:
         ddgs = graphs.build_ddgs(fixture_program("teleportation"))
         deps = analyses.find_hybrid_dependencies(ddgs[0])
         for pos in deps:
-            instr = ddgs[0].instruction_at(pos)
+            instr = ddgs[0].program.instructions[pos]
             assert ir.device_class(instr) is ir.DeviceClass.HYBRID
 
     def test_deps_are_ancestors_and_cover_direct_preds(self):
@@ -433,6 +440,16 @@ class TestHybridDependencies:
             program = random_program(rng)
             for ddg in graphs.build_ddgs(program):
                 deps = analyses.find_hybrid_dependencies(ddg)
+                pred = predecessors(ddg)
                 for pos, dep_set in deps.items():
                     assert dep_set <= ancestors(ddg, pos)
-                    assert set(ddg.pred.get(pos, ())) <= dep_set
+                    assert pred[pos] <= dep_set
+
+    def test_ipe_start_walks_past_earlier_hybrids(self):
+        # RZ(theta) 0 at 28 reaches H 0, X 1 and CZ 0 1 (6-8) along qubit
+        # 1's gates, which pass MEASURE 0 m (10), and reaches that
+        # measurement through theta's chain; both are deps of it.
+        ddg = graphs.build_ddgs(fixture_program("ipe"))[0]
+        deps = analyses.find_hybrid_dependencies(ddg)
+        assert deps[28] == {2, 3, 4, 6, 7, 8, 10, *range(11, 28)}
+        assert deps[40] == set(range(30, 40))

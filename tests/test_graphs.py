@@ -48,6 +48,17 @@ def reference_graph(ddg):
     return {(ddg.path[i], ddg.path[j]) for i, j in reduced}
 
 
+def reference_ancestors(ddg):
+    """Each trace index's ancestors as an int bitset, from the closure of
+    the all-pairs conflict edges."""
+    instrs = list(ddg.instructions)
+    reach = closure(len(instrs), reference_edges(instrs))
+    return tuple(
+        sum(1 << i for i in range(len(instrs)) if k in reach[i])
+        for k in range(len(instrs))
+    )
+
+
 def closure(n, edges):
     """Reachability sets of an index-based DAG (helper for reduction tests)."""
     succ = {i: set() for i in range(n)}
@@ -117,7 +128,7 @@ class TestSegmentation:
         p = ir.parse("DECLARE c BIT\nJUMP-WHEN @l c\nX 0\nLABEL @l\n")
         ddgs = graphs.build_ddgs(p)
         assert ddgs[0].path == (0, 1)
-        last = ddgs[0].instruction_at(ddgs[0].path[-1])
+        last = ddgs[0].instructions[-1]
         assert isinstance(last, ir.JumpWhen)
 
     def test_extended_halt_when_fall_through_is_empty(self):
@@ -194,7 +205,7 @@ class TestEdges:
             program = random_program(random.Random(seed))
             for ddg in graphs.build_ddgs(program):
                 index = {p: i for i, p in enumerate(ddg.path)}
-                res = {p: ir.resources(ddg.instruction_at(p)) for p in ddg.path}
+                res = {p: ir.resources(ddg.program.instructions[p]) for p in ddg.path}
                 for u, v in ddg.edges:
                     # edges respect trace order and are true conflicts
                     assert index[u] < index[v]
@@ -269,33 +280,40 @@ class TestEdgeBuilder:
         assert ddg.edges == reference_graph(ddg)
 
     @settings(max_examples=300, deadline=None)
+    @given(st.lists(_RESET_HEAVY_INSTR, max_size=24))
+    def test_ancestors_are_the_reference_closure(self, body):
+        program = ir.Program((ir.Declare("ro", "BIT", 2),) + tuple(body))
+        ddg = graphs.build_ddgs(program)[0]
+        assert ddg.ancestors == reference_ancestors(ddg)
+
+    @settings(max_examples=300, deadline=None)
     @given(_dags())
     def test_reduction_matches_set_based(self, dag):
         n, edges = dag
         assert graphs.transitive_reduction(n, edges) == reference_reduction(n, edges)
 
 
-def eager_graph(ddg):
-    """``(edges, succ, pred)`` built at once from the trace, as ``Ddg``
-    built them before its edges became lazy."""
+def eager_edges(ddg):
+    """A trace's edges built at once from its instructions: the reference
+    for the lazily built ``Ddg.edges``."""
     instructions = [ddg.program.instructions[p] for p in ddg.path]
     reduced = graphs.transitive_reduction(
         len(instructions), graphs._conflict_edges(instructions)
     )
-    edges = frozenset((ddg.path[i], ddg.path[j]) for i, j in reduced)
-    succ = {p: tuple(sorted(v for u, v in edges if u == p)) for p in ddg.path}
-    pred = {p: tuple(sorted(u for u, v in edges if v == p)) for p in ddg.path}
-    return edges, succ, pred
+    return frozenset((ddg.path[i], ddg.path[j]) for i, j in reduced)
 
 
 class TestLazyEdges:
-    """A Ddg's edges are built on first read, and only where read."""
+    """A Ddg's edges and ancestors are built on first read, and only where
+    read."""
 
     def check(self, program):
         for ddg in graphs.build_ddgs(program):
-            assert not {"edges", "succ", "pred"} & set(vars(ddg))
-            assert (ddg.edges, ddg.succ, ddg.pred) == eager_graph(ddg)
+            assert not {"edges", "ancestors"} & set(vars(ddg))
+            assert ddg.edges == eager_edges(ddg)
+            assert ddg.ancestors == reference_ancestors(ddg)
             assert ddg.edges is ddg.edges
+            assert ddg.ancestors is ddg.ancestors
 
     def test_fixtures_match_eager_build(self):
         for name in WORKLOADS:
@@ -306,23 +324,30 @@ class TestLazyEdges:
             self.check(random_program(random.Random(seed)))
 
     def test_path_only_users_build_no_edges(self, monkeypatch):
-        calls = []
-        reduce = graphs.transitive_reduction
+        calls = {"_conflict_edges": 0, "transitive_reduction": 0}
 
-        def counting_reduction(n, edges):
-            calls.append(n)
-            return reduce(n, edges)
+        def counting(name):
+            original = getattr(graphs, name)
 
-        monkeypatch.setattr(graphs, "transitive_reduction", counting_reduction)
+            def wrapper(*args):
+                calls[name] += 1
+                return original(*args)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(graphs, name, counting(name))
         for name in WORKLOADS:
             program = fixture_program(name)
             transforms.constant_fold(program)
             transforms.dead_code_elim(program)
             metrics.report(program)
-            assert calls == [], name
+            assert calls == {"_conflict_edges": 0, "transitive_reduction": 0}, name
             transforms.apply_pass(program, "hybrid-deps-reorder")
-            assert calls, name
-            calls.clear()
+            transforms.apply_pass(program, "hybrid-deps-latest-quantum")
+            assert calls["_conflict_edges"] > 0, name
+            assert calls["transitive_reduction"] == 0, name
+            calls["_conflict_edges"] = 0
 
 
 def traces(program):

@@ -9,7 +9,7 @@ from quilopt import graphs, ir, metrics, oracle, transforms
 from quilopt.fixtures import WORKLOADS, fixture_program
 from quilopt.transforms import PASS_PAIRS
 
-from conftest import ancestors, random_program, random_retry_program
+from conftest import ancestors, predecessors, random_program, random_retry_program
 
 # Same twelve-line workload as the metrics tests: two measurements with a
 # classically parametrized rotation between them.
@@ -353,14 +353,22 @@ class TestReorder:
                 ), (program, ddg.id)
 
 
+def _terminator(ddg):
+    """The trace's last position when a jump or halt pins it there."""
+    last = ddg.path[-1]
+    control = (ir.JumpWhen, ir.JumpUnless, ir.Halt)
+    return last if isinstance(ddg.program.instructions[last], control) else None
+
+
 def _reference_balanced(ddg):
     """The balanced order with each target's pending dependencies found by
-    walking all of its ancestors, not only those up to the nearest
-    hybrids."""
-    terminator = transforms._pinned_terminator(ddg)
+    walking ``ddg.edges`` back through all of its ancestors, and each
+    balancing pick by checking its direct predecessors."""
+    terminator = _terminator(ddg)
     path = list(ddg.path)
     rank = {pos: i for i, pos in enumerate(path)}
-    cls = {pos: ir.device_class(ddg.instruction_at(pos)) for pos in path}
+    cls = {pos: ir.device_class(ddg.program.instructions[pos]) for pos in path}
+    pred = predecessors(ddg)
     relevant = [
         p for p in path if cls[p] is ir.DeviceClass.HYBRID and p != terminator
     ]
@@ -376,7 +384,7 @@ def _reference_balanced(ddg):
                 if p not in queued
                 and p != terminator
                 and cls[p] is kind
-                and all(a in queued for a in ddg.pred[p])
+                and all(a in queued for a in pred[p])
             ),
             None,
         )
@@ -453,7 +461,7 @@ def _reference_latest_quantum(ddg):
     """The latest-quantum order with its front found by walking every
     classical node's ancestors (quadratic in the trace)."""
     path = list(ddg.path)
-    cls = {p: ir.device_class(ddg.instruction_at(p)) for p in path}
+    cls = {p: ir.device_class(ddg.program.instructions[p]) for p in path}
     hybrids = [i for i, p in enumerate(path) if cls[p] is ir.DeviceClass.HYBRID]
     if not hybrids:
         return [p for p in path if cls[p] is ir.DeviceClass.CLASSICAL] + [
@@ -497,7 +505,7 @@ class TestPassProperties:
             for ddg in graphs.build_ddgs(program):
                 order = order_segment(ddg)
                 _assert_topological(ddg, order)
-                terminator = transforms._pinned_terminator(ddg)
+                terminator = _terminator(ddg)
                 if terminator is not None:
                     assert order[-1] == terminator
 
