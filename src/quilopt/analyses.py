@@ -47,14 +47,6 @@ PAULI_TRANSITIONS: Mapping[str, Mapping[str, str]] = {
 }
 
 
-def pauli_transition(gate: str, state: str) -> str | None:
-    """New eigenstate after applying ``gate``, or None if not tracked."""
-    table = PAULI_TRANSITIONS.get(gate)
-    if table is None:
-        return None
-    return table[state]
-
-
 def _coerce(kind: str, value):
     if kind == "BIT":
         return int(value) & 1

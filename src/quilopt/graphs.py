@@ -2,8 +2,8 @@
 
 A program is cut into straight-line *traces*: one starting at position 0,
 plus, for every conditional jump, one starting at its target label and one
-at its fall-through position.  Labels are never trace nodes (the entry
-label is kept as an anchor) and unconditional jumps are threaded through.
+at its fall-through position.  Labels are never trace nodes and
+unconditional jumps are threaded through.
 :func:`build_ddgs` is the one place that turns a program into its traces,
 each a :class:`Ddg`: a data-dependency graph over the trace's
 instructions with conflict edges (one instruction writes a resource
@@ -11,15 +11,13 @@ another touches) restricted to trace order.  A Ddg gives its dependencies
 in two forms, each built on first read, so passes and metrics that need
 the path alone pay for neither:
 
-* ``edges`` -- the paper's DDG, transitively reduced (unique on a DAG),
-  for DOT output and the hybrid-dependency analysis;
 * ``ancestors`` -- one int bitset per trace index of everything that must
-  run before it, for the reordering passes.  A reduction keeps exactly
-  the reachability of the graph it reduces, so the passes skip it.
-
-Both start from one scan that tracks each resource's last writer and
-readers since that write; the reduction then walks the nodes once with
-int bitsets of what each reaches.
+  run before it, for the reordering passes.  One scan of the trace builds
+  it, tracking each resource's last writer and readers since that write.
+* ``edges`` -- the paper's DDG, the transitive reduction of
+  ``ancestors`` (unique on a DAG), for DOT output and the
+  hybrid-dependency analysis.  It is read off the closure without a
+  second scan.
 
 Trace roles:
 
@@ -62,19 +60,15 @@ class Role(enum.Enum):
 
 def _trace(
     program: ir.Program, labels: dict[str, int], entry: int
-) -> tuple[tuple[int, ...], str | None]:
-    """Follow execution from ``entry``; return node positions and the
-    entry label's name when the trace begins at a label."""
+) -> tuple[int, ...]:
+    """Follow execution from ``entry``; return its node positions."""
     instructions = program.instructions
     path: list[int] = []
-    anchor: str | None = None
     seen_jumps: set[int] = set()
     pos = entry
     while pos < len(instructions):
         instr = instructions[pos]
         if isinstance(instr, ir.Label):
-            if pos == entry:
-                anchor = instr.name
             pos += 1
             continue
         if isinstance(instr, ir.Jump):
@@ -89,27 +83,30 @@ def _trace(
         if isinstance(instr, (ir.Halt, ir.JumpWhen, ir.JumpUnless)):
             break
         pos += 1
-    return tuple(path), anchor
+    return tuple(path)
 
 
-def _conflict_edges(instructions: Sequence[ir.Instruction]) -> set[tuple[int, int]]:
-    """Index pairs (i, j), i < j, whose transitive closure is that of the
-    conflict relation (one side writes a resource the other touches).
+def _ancestors(instructions: Sequence[ir.Instruction]) -> tuple[int, ...]:
+    """Per index ``j``, an int whose bit ``i`` is set when instruction
+    ``i`` must run before ``j``: the transitive closure of the conflict
+    relation (one side writes a resource the other touches) in trace order.
 
     One scan keeps, per resource token, the last writer and the readers
     since that write: a write depends on both, a read on the writer only.
     A bare ``RESET`` writes every qubit: it depends on every pending qubit
     writer and reader and on the previous bare ``RESET``, then clears them,
     so a qubit with no writer of its own since then falls back to it.
+    Each index's set is the union of its dependencies' sets and themselves.
     """
-    edges: set[tuple[int, int]] = set()
+    anc: list[int] = []
     writer: dict[ir.Token, int] = {}
     readers: dict[ir.Token, list[int]] = {}
     wildcard: int | None = None  # the last bare RESET
     for j, instr in enumerate(instructions):
         res = ir.resources(instr)
+        deps: set[int] = set()
         if ir.WILDCARD_QUBIT in res.writes:
-            deps = {i for t, i in writer.items() if t[0] == "q"}
+            deps.update(i for t, i in writer.items() if t[0] == "q")
             for t, rs in readers.items():
                 if t[0] == "q":
                     deps.update(rs)
@@ -120,39 +117,37 @@ def _conflict_edges(instructions: Sequence[ir.Instruction]) -> set[tuple[int, in
             for t in [t for t in readers if t[0] == "q"]:
                 del readers[t]
             wildcard = j
-            edges.update((i, j) for i in deps)
-            continue
-        for t in res.reads | res.writes:
-            i = writer.get(t, wildcard if t[0] == "q" else None)
-            if i is not None:
-                edges.add((i, j))
-        for t in res.writes:
-            edges.update((i, j) for i in readers.pop(t, ()))
-            writer[t] = j
-        for t in res.reads - res.writes:
-            readers.setdefault(t, []).append(j)
-    return edges
+        else:
+            for t in res.reads | res.writes:
+                i = writer.get(t, wildcard if t[0] == "q" else None)
+                if i is not None:
+                    deps.add(i)
+            for t in res.writes:
+                deps.update(readers.pop(t, ()))
+                writer[t] = j
+            for t in res.reads - res.writes:
+                readers.setdefault(t, []).append(j)
+        mask = 0
+        for i in deps:
+            mask |= anc[i] | 1 << i
+        anc.append(mask)
+    return tuple(anc)
 
 
-def transitive_reduction(n: int, edges: set[tuple[int, int]]) -> set[tuple[int, int]]:
-    """Unique transitive reduction of a DAG whose edges go low -> high.
+def transitive_reduction(ancestors: Sequence[int]) -> set[tuple[int, int]]:
+    """Unique transitive reduction of a DAG given by its closure: bit ``i``
+    of ``ancestors[j]`` is set when ``i`` reaches ``j``, and ``i < j``.
 
-    Nodes are visited from last to first, each keeping what it reaches as
-    an int bitset; edge (u, v) stays only when no lower successor of ``u``
-    already reaches ``v``.
+    The highest ancestor of ``j`` still left is a direct predecessor, since
+    anything between them would be higher; striking it and its own
+    ancestors leaves the ancestors of ``j`` that do not reach it.
     """
-    succ: list[list[int]] = [[] for _ in range(n)]
-    for u, v in edges:
-        succ[u].append(v)
-    reach = [0] * n
     reduced = set()
-    for u in range(n - 1, -1, -1):
-        covered = 0
-        for v in sorted(succ[u]):
-            if not covered >> v & 1:
-                reduced.add((u, v))
-                covered |= reach[v] | 1 << v
-        reach[u] = covered
+    for j, rest in enumerate(ancestors):
+        while rest:
+            i = rest.bit_length() - 1
+            reduced.add((i, j))
+            rest &= ~(ancestors[i] | 1 << i)
     return reduced
 
 
@@ -160,40 +155,33 @@ def transitive_reduction(n: int, edges: set[tuple[int, int]]) -> set[tuple[int, 
 class Ddg:
     """Data-dependency graph of one trace.
 
-    Nodes are source positions (``path``, in execution order).  ``edges``
-    are the transitively reduced dependencies between positions: the
-    paper's DDG, which DOT output and the analyses read.  ``ancestors``
-    holds, per trace index ``k``, an int whose bit ``i`` is set when
-    ``path[i]`` must run before ``path[k]``; the reordering passes need
-    only that.  The path order is always a valid topological order.  Both
-    are built on first read and kept for the life of the graph;
-    ``dataclasses.replace(ddg, program=...)`` gives the same trace over
-    another program, with neither built yet.
+    Nodes are source positions (``path``, in execution order).
+    ``ancestors`` holds, per trace index ``k``, an int whose bit ``i`` is
+    set when ``path[i]`` must run before ``path[k]``; one scan of the
+    trace builds it, and the reordering passes need only that.  ``edges``
+    are its transitive reduction mapped to positions: the paper's DDG,
+    which DOT output and the analyses read.  The path order is always a
+    valid topological order.  Both are built on first read and kept for
+    the life of the graph; ``dataclasses.replace(ddg, program=...)`` gives
+    the same trace over another program, with neither built yet.
     """
 
     program: ir.Program = field(repr=False)
     id: str
     role: Role
-    entry: int
-    anchor: str | None
     path: tuple[int, ...]
     ends_program: bool
 
     @functools.cached_property
     def edges(self) -> frozenset[tuple[int, int]]:
-        instructions = self.instructions
-        reduced = transitive_reduction(
-            len(instructions), _conflict_edges(instructions)
+        path = self.path
+        return frozenset(
+            (path[i], path[j]) for i, j in transitive_reduction(self.ancestors)
         )
-        return frozenset((self.path[i], self.path[j]) for i, j in reduced)
 
     @functools.cached_property
     def ancestors(self) -> tuple[int, ...]:
-        # Sorted pairs reach (i, j) only after every edge into i.
-        anc = [0] * len(self.path)
-        for i, j in sorted(_conflict_edges(self.instructions)):
-            anc[j] |= anc[i] | 1 << i
-        return tuple(anc)
+        return _ancestors(self.instructions)
 
     @property
     def instructions(self) -> tuple[ir.Instruction, ...]:
@@ -212,7 +200,7 @@ def build_ddgs(program: ir.Program) -> tuple[Ddg, ...]:
     positions of labels, jumps and halts.
     """
     labels = program.labels
-    traces: dict[int, tuple[tuple[int, ...], str | None]] = {}
+    traces: dict[int, tuple[int, ...]] = {}
 
     def trace(entry: int):
         if entry not in traces:
@@ -228,18 +216,17 @@ def build_ddgs(program: ir.Program) -> tuple[Ddg, ...]:
         if isinstance(last, ir.Halt):
             return Role.HALT, True
         if isinstance(last, (ir.JumpWhen, ir.JumpUnless)):
-            fall = trace(path[-1] + 1)[0]
-            target = trace(labels[last.target])[0]
+            fall = trace(path[-1] + 1)
+            target = trace(labels[last.target])
             if not fall or not target:
                 # The program can terminate at this jump.
                 return Role.HALT, False
             return Role.INTERIOR, False
         return Role.HALT, True  # ran off the end of the program
 
-    start_path, start_anchor = trace(0)
+    start_path = trace(0)
     ddgs = [
-        Ddg(program, "start", Role.START, 0, start_anchor, start_path,
-            classify_end(start_path)[1])
+        Ddg(program, "start", Role.START, start_path, classify_end(start_path)[1])
     ]
 
     entries: list[int] = []
@@ -251,13 +238,13 @@ def build_ddgs(program: ir.Program) -> tuple[Ddg, ...]:
 
     counters = {Role.INTERIOR: 0, Role.HALT: 0}
     for entry in entries:
-        path, anchor = trace(entry)
+        path = trace(entry)
         if not path:  # empty traces are dropped
             continue
         role, ends = classify_end(path)
         counters[role] += 1
         ddgs.append(
-            Ddg(program, f"{role.value}{counters[role]}", role, entry, anchor, path, ends)
+            Ddg(program, f"{role.value}{counters[role]}", role, path, ends)
         )
     return tuple(ddgs)
 

@@ -494,12 +494,12 @@ def _parse_line(line_text: str, line: int) -> Instruction:
     return _parse_gate(line_text, line)
 
 
-def parse(text: str, check: bool = True) -> Program:
+def parse(text: str) -> Program:
     """Parse source text into a :class:`Program`.
 
-    Raises :class:`ParseError` on malformed lines and, unless ``check`` is
-    False, :class:`ValidationError` on semantic problems (undeclared
-    regions, out-of-range indices, duplicate or missing labels).
+    Raises :class:`ParseError` on malformed lines and
+    :class:`ValidationError` on semantic problems (undeclared regions,
+    out-of-range indices, duplicate or missing labels).
     """
     instructions = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -508,8 +508,7 @@ def parse(text: str, check: bool = True) -> Program:
             continue
         instructions.append(_parse_line(stripped, lineno))
     program = Program(tuple(instructions))
-    if check:
-        validate(program)
+    validate(program)
     return program
 
 

@@ -6,7 +6,8 @@ segment at a time.  Reordering passes call :func:`graphs.build_ddgs` once,
 then rebind each trace to the current program just before rewriting it,
 so each segment's dependencies are found after the earlier segments'
 rewrites.  They order trace indices by ``Ddg.ancestors`` alone (what must
-run before what) and never build the reduced ``Ddg.edges``.
+run before what, from one scan of the trace) and never read ``Ddg.edges``,
+the reduction derived from it.
 
 Reordering passes produce a new execution order for a segment and write
 it back by *range projection*: the segment's positions are split into

@@ -120,7 +120,7 @@ def test_pauli_transitions_match_unitary_simulation():
                 if abs(np.vdot(candidate, image)) == pytest.approx(1.0, abs=1e-12)
             ]
             assert len(matches) == 1, f"{gate} on {state} left the Pauli basis"
-            assert analyses.pauli_transition(gate, state) == matches[0]
+            assert analyses.PAULI_TRANSITIONS[gate][state] == matches[0]
             checked += 1
     assert checked == 36
     assert time.monotonic() - start < 1.0

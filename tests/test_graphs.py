@@ -71,6 +71,15 @@ def closure(n, edges):
     return reach
 
 
+def ancestor_bits(n, edges):
+    """An index-based DAG closed into the per-index ancestor bitsets that
+    ``graphs.transitive_reduction`` takes."""
+    reach = closure(n, edges)
+    return tuple(
+        sum(1 << i for i in range(n) if k in reach[i]) for k in range(n)
+    )
+
+
 class TestSegmentation:
     def test_teleportation_structure(self):
         ddgs = graphs.build_ddgs(fixture_program("teleportation"))
@@ -80,7 +89,6 @@ class TestSegmentation:
         assert start.path == (0, 1, 2, 3, 4, 5, 6, 7)
         assert ft.path == (8, 9)
         assert tgt.path == (11, 12)  # the label itself is not a node
-        assert tgt.anchor == "fix" and ft.anchor is None
         assert ft.ends_program and tgt.ends_program
         assert not start.ends_program
 
@@ -93,8 +101,6 @@ class TestSegmentation:
         # Conditional endings: none of these traces literally ends the
         # program, even though the program can stop at each of them.
         assert [d.ends_program for d in ddgs] == [False, False, False, False]
-        assert [d.entry for d in ddgs] == [0, 12, 13, 17]
-        assert [d.anchor for d in ddgs] == [None, None, "retry", "done"]
 
     def test_unconditional_jumps_are_threaded(self):
         p = ir.parse("X 0\nJUMP @end\nY 0\nLABEL @end\nZ 0\n")
@@ -196,7 +202,8 @@ class TestEdges:
         assert ancestors(ddg, 0) == set()
 
     def test_transitive_reduction_unit(self):
-        assert graphs.transitive_reduction(3, {(0, 1), (1, 2), (0, 2)}) == {
+        edges = {(0, 1), (1, 2), (0, 2)}
+        assert graphs.transitive_reduction(ancestor_bits(3, edges)) == {
             (0, 1), (1, 2),
         }
 
@@ -216,7 +223,8 @@ class TestEdges:
                 reduced = {(index[u], index[v]) for u, v in ddg.edges}
                 assert closure(len(instrs), raw) == closure(len(instrs), reduced)
                 # and is itself irreducible
-                assert graphs.transitive_reduction(len(instrs), reduced) == reduced
+                closed = ancestor_bits(len(instrs), reduced)
+                assert graphs.transitive_reduction(closed) == reduced
 
 
 # Straight-line programs on three qubits, weighted towards RESET, so that
@@ -290,16 +298,15 @@ class TestEdgeBuilder:
     @given(_dags())
     def test_reduction_matches_set_based(self, dag):
         n, edges = dag
-        assert graphs.transitive_reduction(n, edges) == reference_reduction(n, edges)
+        reduced = graphs.transitive_reduction(ancestor_bits(n, edges))
+        assert reduced == reference_reduction(n, edges)
 
 
 def eager_edges(ddg):
     """A trace's edges built at once from its instructions: the reference
     for the lazily built ``Ddg.edges``."""
     instructions = [ddg.program.instructions[p] for p in ddg.path]
-    reduced = graphs.transitive_reduction(
-        len(instructions), graphs._conflict_edges(instructions)
-    )
+    reduced = graphs.transitive_reduction(graphs._ancestors(instructions))
     return frozenset((ddg.path[i], ddg.path[j]) for i, j in reduced)
 
 
@@ -323,8 +330,10 @@ class TestLazyEdges:
         for seed in range(200):
             self.check(random_program(random.Random(seed)))
 
-    def test_path_only_users_build_no_edges(self, monkeypatch):
-        calls = {"_conflict_edges": 0, "transitive_reduction": 0}
+    @staticmethod
+    def count_calls(monkeypatch):
+        """Count calls of the two graph builders, by their global names."""
+        calls = {"_ancestors": 0, "transitive_reduction": 0}
 
         def counting(name):
             original = getattr(graphs, name)
@@ -337,23 +346,36 @@ class TestLazyEdges:
 
         for name in calls:
             monkeypatch.setattr(graphs, name, counting(name))
+        return calls
+
+    def test_path_only_users_build_no_edges(self, monkeypatch):
+        calls = self.count_calls(monkeypatch)
         for name in WORKLOADS:
             program = fixture_program(name)
             transforms.constant_fold(program)
             transforms.dead_code_elim(program)
             metrics.report(program)
-            assert calls == {"_conflict_edges": 0, "transitive_reduction": 0}, name
+            assert calls == {"_ancestors": 0, "transitive_reduction": 0}, name
             transforms.apply_pass(program, "hybrid-deps-reorder")
             transforms.apply_pass(program, "hybrid-deps-latest-quantum")
-            assert calls["_conflict_edges"] > 0, name
+            assert calls["_ancestors"] > 0, name
             assert calls["transitive_reduction"] == 0, name
-            calls["_conflict_edges"] = 0
+            calls["_ancestors"] = 0
+
+    def test_both_views_scan_once(self, monkeypatch):
+        calls = self.count_calls(monkeypatch)
+        for name in WORKLOADS:
+            for ddg in graphs.build_ddgs(fixture_program(name)):
+                ddg.edges  # the reduction, then the closure it was read off
+                ddg.ancestors
+                assert calls == {"_ancestors": 1, "transitive_reduction": 1}
+                calls.update(_ancestors=0, transitive_reduction=0)
 
 
 def traces(program):
     """What identifies each trace of ``program``, without its graph."""
     return [
-        (d.id, d.role, d.entry, d.anchor, d.path, d.ends_program)
+        (d.id, d.role, d.path, d.ends_program)
         for d in graphs.build_ddgs(program)
     ]
 

@@ -108,7 +108,7 @@ class TestParseErrors:
     )
     def test_rejected(self, text):
         with pytest.raises(ir.ParseError):
-            ir.parse(text + "\n", check=False)
+            ir.parse(text + "\n")
 
     def test_error_carries_line_number(self):
         with pytest.raises(ir.ParseError, match="line 3"):
