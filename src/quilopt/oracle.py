@@ -15,9 +15,9 @@ a factor ``V`` of shape 2**n x r (r = 1 for a pure state).
   they merge exactly into one by concatenating their factors' columns.  A
   factor wider than 2**n is refactored to 2**n columns (V <- Rᴴ, where
   Vᴴ = QR), so a step never costs more than one on a density matrix.
-  Memory cells that are dead at pc (overwritten or never read again, and
-  not read out) are zeroed before keying, so a value nothing reads later,
-  such as a loop counter, does not keep configurations apart.
+  Memory cells that are not strongly live at pc (see below) are zeroed
+  before keying, so a value nothing reads later, such as a loop counter,
+  does not keep configurations apart.
 
 Configurations waiting at a label, where control paths join, are
 expanded lowest pc first (ties in insertion order), so that paths meet
@@ -54,6 +54,46 @@ always stepped.  Transfers live for one ``run`` call and take at most
 keys x outputs x operators x 4**n x 16 bytes, with at most two outputs
 per key and 2**n operators per output.
 
+A cell is strongly live at pc where some path from there reads it for a
+gate parameter, a jump condition, the readout at the end, or a classical
+instruction that writes a strongly live cell.  A cell read only by
+instructions whose results nothing uses, such as ``SUB acc 5`` on an acc
+nothing else reads, is *faint* (Khedker, Sanyal and Karkare, *Data Flow
+Analysis: Theory and Practice*, 2009), so each exit of a loop that
+counts in it reaches the next loop with the same key.  An instruction
+that can raise on its values keeps what it reads live even so: a DIV by
+a cell or by 0, and one that converts between REAL and the integer kinds
+(``int(inf)``, ``float`` of a huge int).  Zeroed cells thus flow only
+into other zeroed cells, and results and errors are those of the unzeroed
+run, except where more merging changes what pruning and the merged step
+count cut off.  The dead cells of a pc are kept as runs of adjacent
+cells, each zeroed by one slice assignment.
+
+A *loop head* is a key at a label, popped while no label at or below its
+pc is pending, so that stepping would pop it next when it comes back.
+Its *step tree* is its transfer, followed through the transfers of the
+outcome keys it reaches, down to joins and readouts.  Where every key in
+that tree has a transfer, no two outcomes of one step merge, exactly one
+path leads back to the head, every other join is a label above its pc and
+the program has at most ``LOOP_MAX_QUBITS`` qubits, the head runs the
+loop in place, in density form: rho flattened to v, one 4**n x 4**n
+superoperator S (the sum of kron(K, conj K) over the Kraus operators of
+the path back) and one per exit, and one trace row per outcome and
+readout, stacked in a matrix F, all built once per ``run`` call.  An
+iteration is one product F·v, which gives every mass; stepping's prune
+test on each outcome, skipping a pruned outcome's subtree; the readout
+masses; v added to the sum of each exit reached; and v <- S·v (Ying and
+Feng, "Quantum loop programs", Acta Informatica 47, 2010, sum the same
+series in closed form).  The loop stops when the way back is pruned, or
+hands its state back to replay when the next iteration's deepest leaf
+would pass ``max_steps``; each exit's sum is mapped once, refactored by
+pivoted Cholesky and enqueued with the step count of its last member.
+Traversal, pruning, step counts and merges are stepping's, so only float
+rounding differs; the closed form is not used because it would sum the
+tail past ``prune_epsilon`` too.  A head keeps at most leaves x 4**2n x
+16 bytes of superoperators (64 KiB each at 3 qubits), where its leaves
+are its exits and the way back, for one ``run`` call.
+
 The classical semantics here are deliberately implemented from scratch,
 independent of the constant-propagation code, so the two can act as
 cross-checks on each other.
@@ -65,6 +105,8 @@ import functools
 import heapq
 import itertools
 import math
+import re
+import types
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,6 +119,11 @@ MAX_QUBITS = 10
 # 0.86x (two gates per iteration) to 1.6x (three per data qubit), and at 7
 # they lose, so steps above this bound are never replayed.
 REPLAY_MAX_QUBITS = 5
+# Running a loop in place costs 4**n x 4**n superoperator products.  On two
+# chained retry loops it beats replay 2x at 2 qubits and 1.5x at 3; at 4 it
+# runs at 0.57x and at 5 at 0.08x, so only loops of programs up to this
+# bound run in place.
+LOOP_MAX_QUBITS = 3
 
 
 class OracleError(ir.QuilError):
@@ -302,17 +349,46 @@ def _readout_key(memory, readout):
     return tuple((name, tuple(memory[name])) for name in sorted(readout))
 
 
-def _dead_cells(program: ir.Program, labels, readout, at) -> dict:
-    """For every pc in ``at``, the cells whose value is overwritten or never
-    read on every path from there (readout regions are read at the end), as
-    (region, index, zero value) triples.
+_ONES = re.compile("1+")
 
-    A configuration's future does not depend on its dead cells, so ``run``
-    zeroes them before keying it on (pc, memory): otherwise a loop that
-    counts in a cell nothing reads after it would leave each exit with its
-    own memory, and every later loop would run once per exit.
+
+def _can_raise(instr: ir.Classical, kinds) -> bool:
+    """Whether ``_run_classical`` can raise on the values ``instr`` reads:
+    a DIV by a cell or by 0, or a conversion between REAL and the integer
+    kinds (``int(inf)``, ``int(nan)``, ``float`` of an int past the float
+    range), which mixing the two kinds or a bitwise op on a REAL makes.
+    (A float quotient past the float range is inf, not an error.)"""
+    ops = instr.operands
+    if instr.op == "DIV" and (isinstance(ops[1], ir.MemoryRef) or ops[1] == 0):
+        return True
+    real = {
+        kinds.get(o.region) == "REAL" if isinstance(o, ir.MemoryRef) else isinstance(o, float)
+        for o in ops
+    }
+    return True in real and (len(real) == 2 or instr.op in ("AND", "IOR", "XOR", "NOT"))
+
+
+def _dead_cells(program: ir.Program, labels, readout, at) -> dict:
+    """For every pc in ``at``, the cells that are not strongly live there,
+    as runs ``(region, start, stop, zero value)`` of adjacent cells.
+
+    A cell is strongly live where some path from there reads it for a
+    gate parameter, a jump condition, the readout at the end (readout
+    regions) or a classical instruction that writes a strongly live cell
+    or can raise on what it reads (``_can_raise``).  A cell only its own
+    updates read, such as a counter nothing else looks at, is *faint*
+    (Khedker, Sanyal and Karkare, *Data Flow Analysis*, 2009) and so not
+    live either.
+
+    A configuration's future does not depend on these cells: their values
+    flow only into other such cells, through instructions that cannot
+    raise.  So ``run`` zeroes them before keying it on (pc, memory):
+    otherwise a loop that counts in a cell nothing else reads would leave
+    each exit with its own memory, and every later loop would run once
+    per exit.
     """
     code = program.instructions
+    kinds = {d.name: d.kind for d in program.regions.values()}
     # The bitsets below hold one bit per cell: region ``name`` takes bits
     # ``first`` to ``first + size - 1``, so no mask is kept per cell.
     spans, start = [], 0
@@ -330,14 +406,22 @@ def _dead_cells(program: ir.Program, labels, readout, at) -> dict:
                     found |= 1 << (first + ref.index)
         return found
 
-    # Per pc: the cells read, the complement of those written, successors.
-    reads, kept, successors = [], [], []
+    # Per pc: the cells always read, (written, read for it) pairs, the
+    # complement of the cells written, and the successors.
+    always, uses, kept, successors = [], [], [], []
     for pc, instr in enumerate(code):
-        read, written, following = 0, 0, (pc + 1,)
+        read, pairs, written, following = 0, (), 0, (pc + 1,)
         if isinstance(instr, ir.Classical):
             ops = instr.operands
-            read = mask(ops[1:] if instr.op == "MOVE" else ops)
-            written = mask(ops if instr.op == "EXCHANGE" else ops[:1])
+            if instr.op == "EXCHANGE":
+                a, b = mask(ops[:1]), mask(ops[1:])
+                pairs, written, read = ((a, b), (b, a)), a | b, a | b
+            else:
+                written = mask(ops[:1])
+                read = mask(ops[1:] if instr.op == "MOVE" else ops)
+                pairs = ((written, read),)
+            if not _can_raise(instr, kinds):
+                read = 0
         elif isinstance(instr, ir.ParamGate):
             read = mask(instr.params)
         elif isinstance(instr, ir.Measure):
@@ -349,10 +433,11 @@ def _dead_cells(program: ir.Program, labels, readout, at) -> dict:
             following = (labels[instr.target],)
         elif isinstance(instr, ir.Halt):
             following = (len(code),)
-        reads.append(read)
+        always.append(read)
+        uses.append(pairs)
         kept.append(~written)
         successors.append(following)
-    # Backward liveness as bitsets, to a fixed point.
+    # Backward strong liveness as bitsets, to a fixed point.
     at_end = sum(
         ((1 << size) - 1) << first
         for name, first, size, _ in spans
@@ -366,7 +451,10 @@ def _dead_cells(program: ir.Program, labels, readout, at) -> dict:
             out = 0
             for successor in successors[pc]:
                 out |= live[successor]
-            now = reads[pc] | out & kept[pc]
+            now = always[pc] | out & kept[pc]
+            for written, read in uses[pc]:
+                if out & written:
+                    now |= read
             if now != live[pc]:
                 live[pc] = now
                 changed = True
@@ -374,13 +462,12 @@ def _dead_cells(program: ir.Program, labels, readout, at) -> dict:
 
     def dead_at(pc):
         # Bit k of the dead mask is character k of its reversed binary
-        # text, so one pass over the text lists the dead cells.
+        # text, so each run of dead cells is a run of "1"s in it.
         bits = format(everything & ~live[pc], "b")[::-1]
         return [
-            (name, i, zero)
+            (name, run.start() - first, run.end() - first, zero)
             for name, first, size, zero in spans
-            for i, bit in enumerate(bits[first:first + size])
-            if bit == "1"
+            for run in _ONES.finditer(bits, first, first + size)
         ]
 
     return {pc: dead_at(pc) for pc in at}
@@ -434,6 +521,206 @@ def _replay(kraus, factor):
     return out[:, out.any(axis=0)]
 
 
+def _compose(kraus, before, dim):
+    """The Kraus operators of ``before`` followed by those of ``kraus``
+    (None for the identity), at most dim**2 of them: a longer list is
+    refactored as ``_compact`` refactors a factor, on the operators
+    flattened into columns, which keeps sum_i vec(K_i) vec(K_i)ᴴ and so
+    the map."""
+    if kraus is None or before is None:
+        return before if kraus is None else kraus
+    ops = (kraus[:, None] @ before[None]).reshape(-1, dim, dim)
+    if len(ops) > dim * dim:
+        ops = _compact(ops.reshape(len(ops), -1).T, dim * dim).T.reshape(-1, dim, dim)
+    return ops
+
+
+def _trace_row(kraus, dim):
+    """The row r with r · vec(rho) = tr(sum_i K_i rho K_iᴴ), for rho
+    flattened row by row: tr(M rho) with M = sum_i K_iᴴ K_i, Hermitian, so
+    r = vec(Mᵀ) = vec(conj M)."""
+    if kraus is None:
+        return np.eye(dim).reshape(-1)
+    flat = kraus.reshape(-1, dim)
+    return (flat.T @ flat.conj()).reshape(-1)
+
+
+def _superop(kraus, dim):
+    """rho -> sum_i K_i rho K_iᴴ on rho flattened row by row: the sum of
+    kron(K_i, conj K_i), entry [(a, b), (i, j)] = sum_k K_k[a, i] conj
+    K_k[b, j] (None for the identity)."""
+    if kraus is None:
+        return None
+    flat = kraus.reshape(len(kraus), -1)
+    pairs = (flat.T @ flat.conj()).reshape(dim, dim, dim, dim)
+    return pairs.transpose(0, 2, 1, 3).reshape(dim * dim, dim * dim)
+
+
+def _factor(vec, dim):
+    """A factor V with V Vᴴ = rho, for rho flattened row by row in ``vec``,
+    by Cholesky with diagonal pivoting: each column takes the largest
+    diagonal entry left, until none is above 2**n x machine epsilon x the
+    largest at the start.  What is left of a rank-deficient rho is then
+    rounding, which would only add columns; it is below 4**n x epsilon of
+    the trace.  At least one column.
+
+    Plain numpy, so it loads no LAPACK routine that stepping does not
+    (``eigh`` would add about 1 MB to a run's peak RSS)."""
+    rest = vec.reshape(dim, dim)
+    rest = (rest + rest.conj().T) / 2
+    tolerance = dim * np.finfo(float).eps * rest.diagonal().real.max()
+    columns = []
+    for _ in range(dim):
+        diagonal = rest.diagonal().real
+        pivot = int(diagonal.argmax())
+        if not diagonal[pivot] > tolerance:
+            break
+        column = rest[:, pivot] / math.sqrt(diagonal[pivot])
+        columns.append(column)
+        rest = rest - np.outer(column, column.conj())
+    if not columns:
+        return np.zeros((dim, 1), dtype=complex)
+    return np.stack(columns, axis=1)
+
+
+_TEST, _READOUT, _EXIT, _RETURN = range(4)
+
+
+def _loop_plan(head, transfers, dim):
+    """``head``'s step tree, its transfer followed through the transfers of
+    the outcome keys it reaches down to joins and readouts, as
+    superoperators on the head's state v.  False while a key in the tree
+    has no transfer yet; None where the in-place path can never apply: a
+    key that is never replayed, two outcomes of one step that merge, an
+    exit to a label at or below the head's pc, or other than one way back
+    to the head.
+
+    The plan's ``events`` list what stepping does per iteration, in its
+    order: the prune test on an outcome (``_TEST``, with its row of
+    ``masses`` and the index past its subtree), a readout (row, key), an
+    exit (index into ``exits``, its depth) and the return to the head.
+    ``masses`` stacks one trace row per outcome and readout, so
+    ``masses @ v`` gives every mass of an iteration; ``step`` maps v to
+    the next iteration's (None: the identity); ``exits`` holds each
+    exit's label key and superoperator from v; ``cycle`` and ``deepest``
+    count the instructions from the head back to itself and to its
+    deepest leaf.
+
+    The walk only collects each path's Kraus stacks; only a plan that
+    applies composes them into trace rows and superoperators."""
+    rows, events, exits, back = [], [], [], []
+    deepest = 0
+    # (key, Kraus stacks from the head to it, depth, its mass row), or
+    # (None, None, None, event index of a prune test) past that test's
+    # subtree.  Last in first out, as stepping expands outcomes.
+    stack = [(head, (), 0, None)]
+    while stack:
+        key, before, depth, row = stack.pop()
+        if key is None:  # the subtree of the prune test at events[row] ends
+            events[row] = (_TEST, events[row][1], len(events), 0)
+            continue
+        if row is not None:
+            stack.append((None, None, None, len(events)))
+            events.append((_TEST, row, None, 0))
+        transfer = transfers.get(key, False)
+        if not transfer:
+            return transfer
+        count, outputs = transfer
+        depth += count
+        deepest = max(deepest, depth)
+        targets = [t for kind, t, _ in outputs if kind == "outcome"]
+        if len(set(targets)) < len(targets):
+            return None
+        for kind, target, kraus in outputs:
+            after = before if kraus is None else before + (kraus,)
+            if kind == "join":
+                if target == head:
+                    back.append((after, depth))
+                    events.append((_RETURN, 0, None, 0))
+                elif target[0] > head[0]:
+                    events.append((_EXIT, len(exits), None, depth))
+                    exits.append((target, after))
+                else:
+                    return None
+                continue
+            rows.append(after)
+            if kind == "readout":
+                events.append((_READOUT, len(rows) - 1, target, 0))
+            else:
+                stack.append((target, after, depth, len(rows) - 1))
+    if len(back) != 1:
+        return None
+    ((step, cycle),) = back
+
+    def composed(path):
+        ops = None
+        for kraus in path:
+            ops = _compose(kraus, ops, dim)
+        return ops
+
+    masses = [_trace_row(composed(path), dim) for path in rows]
+    return types.SimpleNamespace(
+        cycle=cycle,
+        deepest=deepest,
+        masses=np.array(masses).reshape(len(rows), dim * dim),
+        events=events,
+        step=_superop(composed(step), dim),
+        exits=[(target, _superop(composed(path), dim)) for target, path in exits],
+    )
+
+
+def _run_loop(loop, v, steps, max_steps, prune_epsilon, probabilities):
+    """Iterate ``loop`` from state ``v`` at ``steps`` as stepping would:
+    prune, read out and exit each iteration, until the way back is pruned
+    or the next iteration's deepest leaf would pass ``max_steps``.
+
+    Returns the truncated mass, the exits as ``(key, rho flattened, step
+    count of its last member)`` in the order stepping first reaches them,
+    and the state and step count to continue stepping from (None once the
+    loop is done).  Adds readout masses to ``probabilities``."""
+    truncated = 0.0
+    reached: dict = {}  # exit index -> [sum of v, step count]
+    events, count = loop.events, len(loop.events)
+    while steps + loop.deepest <= max_steps:
+        masses = (loop.masses @ v).real.tolist()
+        returned = False
+        i = 0
+        while i < count:
+            kind, row, target, depth = events[i]
+            i += 1
+            if kind == _TEST:
+                mass = masses[row]
+                if mass <= prune_epsilon or not mass:
+                    truncated += mass
+                    i = target
+            elif kind == _READOUT:
+                probabilities[target] = probabilities.get(target, 0.0) + masses[row]
+            elif kind == _EXIT:
+                entry = reached.get(row)
+                if entry is None:
+                    reached[row] = [v, steps + depth]
+                else:
+                    entry[0] = entry[0] + v
+                    entry[1] = steps + depth
+            else:
+                returned = True
+        if not returned:
+            v = None
+            break
+        if loop.step is not None:
+            v = loop.step @ v
+        steps += loop.cycle
+    exits: dict = {}
+    for index, (total, last) in reached.items():
+        target, superop = loop.exits[index]
+        rho = total if superop is None else superop @ total
+        if target in exits:
+            earlier, before = exits[target]
+            rho, last = earlier + rho, max(before, last)
+        exits[target] = (rho, last)
+    return truncated, [(t, rho, last) for t, (rho, last) in exits.items()], v, steps
+
+
 def run(
     program: ir.Program,
     readout=None,
@@ -479,11 +766,14 @@ def run(
     # can be replayed.
     popped: set = set()
     transfers: dict = {}
+    # Loop head key -> its ``_loop_plan``, or None where it never runs in
+    # place.
+    loops: dict = {}
 
     def settle(pc, memory):
         """The key of a configuration at ``pc``, its dead cells zeroed."""
-        for region, index, zero in dead[pc]:
-            memory[region][index] = zero
+        for region, lo, hi, zero in dead[pc]:
+            memory[region][lo:hi] = [zero] * (hi - lo)
         return (pc, tuple(map(tuple, memory.values())))
 
     def enqueue(key, factor, steps):
@@ -504,6 +794,34 @@ def run(
     while heap:
         _, _, key = heapq.heappop(heap)
         factor, steps = pending.pop(key)
+        # A loop head: a label key with a transfer, and no label at or
+        # below it pending, so stepping would come back to it next.
+        if (
+            n <= LOOP_MAX_QUBITS
+            and key[0] in joins
+            and transfers.get(key)
+            and (not heap or heap[0][0] > key[0])
+        ):
+            loop = loops.get(key, False)
+            if loop is False:
+                loop = _loop_plan(key, transfers, dim)
+                if loop is not False:
+                    loops[key] = loop
+            if loop and steps + loop.deepest <= max_steps:
+                lost, exits, v, steps = _run_loop(
+                    loop,
+                    (factor @ factor.conj().T).reshape(-1),
+                    steps,
+                    max_steps,
+                    prune_epsilon,
+                    probabilities,
+                )
+                truncated += lost
+                for target, rho, last in exits:
+                    enqueue(target, _factor(rho, dim), last)
+                if v is None:
+                    continue
+                factor = _factor(v, dim)
         transfer = transfers.get(key)
         if transfer is not None and steps + transfer[0] <= max_steps:
             count, outputs = transfer

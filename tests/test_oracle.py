@@ -612,17 +612,91 @@ class TestFactor:
             "MOVE x 0.5\nRX(x) 0\nADD n 1\nMOVE n 2\nMEASURE 0 ro\nHALT\n"
         )
         dead = [
-            {(region, index) for region, index, _ in cells}
-            for cells in oracle._dead_cells(program, program.labels, {"ro"}, range(10)).values()
+            {(region, i) for region, start, stop, _ in runs for i in range(start, stop)}
+            for runs in oracle._dead_cells(program, program.labels, {"ro"}, range(10)).values()
         ]
-        # x is live from its MOVE to the RX that reads it; n is read by the
-        # ADD and dead from the MOVE that overwrites it; ro is read at the
-        # end and dead before the MEASURE that writes it.
+        # x is live from its MOVE to the RX that reads it; n is read only by
+        # the ADD, which writes an n the MOVE overwrites, so n is faint
+        # there and dead from the MOVE on; ro is read at the end and dead
+        # before the MEASURE that writes it.
         assert ("x", 0) in dead[3] and ("x", 0) not in dead[4]
         assert ("x", 0) in dead[5]
-        assert ("n", 0) not in dead[5] and ("n", 0) in dead[6]
+        assert ("n", 0) in dead[5] and ("n", 0) in dead[6]
         assert ("ro", 0) in dead[7] and ("ro", 0) not in dead[8]
         assert dead[8] == dead[9] == {("n", 0), ("x", 0)}
+
+    @staticmethod
+    def _dead_at(program, pc):
+        runs = oracle._dead_cells(program, program.labels, {"ro"}, [pc])[pc]
+        return {(region, i) for region, start, stop, _ in runs for i in range(start, stop)}
+
+    def test_a_div_divisor_stays_live(self):
+        # Nothing reads q after the DIV, but DIV raises on a zero divisor,
+        # so d is live after the MEASURE: zeroed there, it would divide by
+        # 0.  Divided by a literal 2, which cannot raise, q is faint.
+        program = ir.parse(
+            "DECLARE ro BIT\nDECLARE d INTEGER\nDECLARE q INTEGER\n"
+            "MOVE d 2\nH 0\nMEASURE 0 ro\nDIV q d\n"
+        )
+        assert ("d", 0) not in self._dead_at(program, 6)
+        literal = ir.parse(ir.emit(program).replace("DIV q d", "DIV q 2"))
+        assert {("d", 0), ("q", 0)} <= self._dead_at(literal, 6)
+        assert oracle.run(program).probabilities == {
+            _key(ro=(0,)): pytest.approx(0.5),
+            _key(ro=(1,)): pytest.approx(0.5),
+        }
+
+    def test_a_real_moved_into_an_integer_stays_live(self):
+        # k is never read, but MOVE k x converts x to an int, which raises
+        # once x has overflowed to inf (the second iteration), so x stays
+        # live at the loop head and the error is not zeroed away.
+        program = ir.parse(
+            "DECLARE ro BIT\nDECLARE x REAL\nDECLARE k INTEGER\nDECLARE f BIT\n"
+            "MOVE x 10.0\nLABEL @loop\nMUL x 1e300\nH 1\nMEASURE 1 f\n"
+            "JUMP-WHEN @loop f\nMOVE k x\nMEASURE 0 ro\n"
+        )
+        assert ("x", 0) not in self._dead_at(program, 5)
+        assert ("k", 0) in self._dead_at(program, 5)
+        with pytest.raises(oracle.OracleError, match="position 10"):
+            oracle.run(program)
+
+    def test_a_counter_only_its_own_updates_read_does_not_split_the_next_loop(
+        self, monkeypatch
+    ):
+        # acc is read only by the SUBs that update it, so it is faint: every
+        # exit of the first loop reaches @b with acc zeroed, and the second
+        # loop runs once on their merged state, not once per exit.
+        program = ir.parse(
+            "DECLARE ro BIT\nDECLARE f BIT[2]\nDECLARE acc INTEGER\n"
+            "LABEL @a\nRESET 1\nH 1\nSUB acc 5\nCNOT 1 0\nMEASURE 1 f[0]\n"
+            "JUMP-WHEN @a f[0]\n"
+            "LABEL @b\nRESET 1\nH 1\nSUB acc 8\nCNOT 1 0\nMEASURE 1 f[1]\n"
+            "JUMP-WHEN @b f[1]\n"
+            "MEASURE 0 ro\n"
+        )
+        calls = _count_gate_work(monkeypatch)
+        _agree(program, 1e-9)
+        assert len(calls) <= 2 * 2 * 45
+
+    def test_dead_cells_are_zeroed_a_run_at_a_time(self):
+        # One (region, start, stop) run for all two million cells of big,
+        # zeroed by one slice assignment; one triple per cell took 498 MB.
+        program = ir.parse(
+            "DECLARE big BIT[2000000]\nDECLARE ro BIT[1]\nH 0\nMEASURE 0 ro[0]\n"
+        )
+        runs = oracle._dead_cells(program, program.labels, {"ro"}, [0, 4])
+        assert runs == {
+            0: [("big", 0, 2_000_000, 0), ("ro", 0, 1, 0)],
+            4: [("big", 0, 2_000_000, 0)],
+        }
+        tracemalloc.start()
+        try:
+            d = oracle.run(program)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sorted(d.probabilities.values()) == pytest.approx([0.5, 0.5])
+        assert peak < 150_000_000
 
     def test_declared_cells_take_linear_memory(self):
         # Liveness keeps one bit per cell in shared bitsets, about 12 MB
@@ -695,21 +769,44 @@ class TestFactor:
         assert columns == [1] * 29
 
 
-def _count_gate_work(monkeypatch):
-    """Every ``_apply_unitary`` call from now on, as its arguments."""
+def _record_calls(monkeypatch, name):
+    """Every call of ``oracle.<name>`` from now on, as its arguments."""
     calls = []
-    apply = oracle._apply_unitary
+    function = getattr(oracle, name)
 
-    def counting_apply(*args):
+    def recording(*args):
         calls.append(args)
-        return apply(*args)
+        return function(*args)
 
-    monkeypatch.setattr(oracle, "_apply_unitary", counting_apply)
+    monkeypatch.setattr(oracle, name, recording)
     return calls
 
 
+def _count_gate_work(monkeypatch):
+    """Every ``_apply_unitary`` call from now on, as its arguments."""
+    return _record_calls(monkeypatch, "_apply_unitary")
+
+
+def _count_pops(monkeypatch):
+    """Every configuration ``oracle.run`` pops from now on, as its heap
+    entry."""
+    pops = []
+
+    class RecordingHeap:
+        heappush = staticmethod(heapq.heappush)
+
+        @staticmethod
+        def heappop(heap):
+            pops.append(heap[0])
+            return heapq.heappop(heap)
+
+    monkeypatch.setattr(oracle, "heapq", RecordingHeap)
+    return pops
+
+
 def _stepped(program, **kwargs):
-    """``oracle.run`` with every step stepped, none replayed."""
+    """``oracle.run`` with every step stepped: without transfers, nothing
+    is replayed and no loop runs in place."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(oracle, "REPLAY_MAX_QUBITS", -1)
         return oracle.run(program, **kwargs)
@@ -817,3 +914,115 @@ class TestReplay:
         assert len(d.probabilities) == 14
         assert peak < worst
         assert left < 100_000  # the transfers went with the call
+
+
+class TestInPlace:
+    def test_superoperators_match_their_kraus_operators(self):
+        rng = np.random.default_rng(0)
+        dim = 4
+
+        def stack(k):
+            return rng.normal(size=(k, dim, dim)) + 1j * rng.normal(size=(k, dim, dim))
+
+        first, second = stack(16), stack(16)
+        rho = stack(1)[0]
+        rho = rho @ rho.conj().T
+        mapped = sum(k @ rho @ k.conj().T for k in first)
+        superop = oracle._superop(first, dim)
+        assert np.allclose(superop, sum(np.kron(k, k.conj()) for k in first))
+        assert np.allclose(superop @ rho.reshape(-1), mapped.reshape(-1))
+        assert np.isclose(oracle._trace_row(first, dim) @ rho.reshape(-1), np.trace(mapped))
+        # 256 products, refactored to at most dim**2 operators of the same map.
+        composed = oracle._compose(second, first, dim)
+        products = (second[:, None] @ first[None]).reshape(-1, dim, dim)
+        assert len(composed) <= dim * dim
+        assert np.allclose(oracle._superop(composed, dim), oracle._superop(products, dim))
+        # A rank-2 state and the zero state factor back exactly.
+        v = stack(1)[0][:, :2]
+        for state in (v @ v.conj().T, np.zeros((dim, dim))):
+            factor = oracle._factor(state.reshape(-1), dim)
+            assert factor.shape[1] <= 2
+            assert np.allclose(factor @ factor.conj().T, state)
+
+    def test_each_loop_runs_in_place_from_its_third_pop(self, monkeypatch):
+        # Each loop head is stepped twice, the second time recording its
+        # transfer and those of its outcomes, and runs every later iteration
+        # in place at its third pop, however many there are: one pop for
+        # the start, 3 per iteration of the first loop and 5 of the second
+        # (its exit measures ro), so 1 + (3 + 3 + 1) + (5 + 5 + 1) at both
+        # bounds, where iteration by iteration took 154 and 314 pops.
+        program = ir.parse(CHAINED_LOOPS)
+        pops = _count_pops(monkeypatch)
+        counts = []
+        for prune in (1e-6, 1e-12):
+            pops.clear()
+            oracle.run(program, prune_epsilon=prune)
+            counts.append(len(pops))
+        assert counts == [19, 19]
+
+    def test_a_last_loop_whose_exit_measures_a_data_qubit_runs_in_place(
+        self, monkeypatch
+    ):
+        # The shape of perfbench's retry programs: each exit of the loop
+        # measures a data qubit into ro, so its step tree ends in readouts.
+        program = ir.parse(
+            "DECLARE ro BIT[2]\nDECLARE flag BIT\nH 0\nT 0\n"
+            "LABEL @retry\nRESET 2\nH 2\nRX(0.7) 1\nCNOT 0 1\nCNOT 2 1\n"
+            "MEASURE 2 flag\nJUMP-WHEN @retry flag\nMEASURE 1 ro\nMOVE ro[1] 1\n"
+        )
+        loops = _record_calls(monkeypatch, "_run_loop")
+        d = _agree(program, 1e-9)
+        assert len(d.probabilities) == 2
+        assert len(loops) == 1
+        events = loops[0][0].events
+        assert sum(kind == oracle._READOUT for kind, *_ in events) == 2
+
+    def test_above_the_loop_bound_loops_are_replayed(self, monkeypatch):
+        text = CHAINED_LOOPS.replace("MEASURE 0 ro", "H 3\nCNOT 3 2\nMEASURE 0 ro")
+        program = ir.parse(text)
+        assert oracle._qubit_count(program) == oracle.LOOP_MAX_QUBITS + 1
+        plans = _record_calls(monkeypatch, "_loop_plan")
+        replays = _record_calls(monkeypatch, "_replay")
+        _agree(program, 1e-9)
+        assert plans == [] and len(replays) > 100
+
+    def test_stepped_neither_replays_nor_runs_in_place(self, monkeypatch):
+        program = ir.parse(CHAINED_LOOPS)
+        transfers = _record_calls(monkeypatch, "_transfer")
+        plans = _record_calls(monkeypatch, "_loop_plan")
+        d = _stepped(program)
+        assert transfers == [] and plans == []
+        assert d.distance(oracle.run(program)) <= 1e-12
+
+    def test_superoperators_take_bounded_memory(self, monkeypatch):
+        """A loop head keeps at most leaves x 4**2n x 16 bytes, and they
+        go when ``run`` returns.
+
+        At 3 qubits, the most that runs in place, each superoperator is
+        64 x 64 complex, 64 KiB.  The first loop keeps two (its way back
+        and its exit), the second one (its exits end in readouts, which
+        keep one trace row each).  Building one takes a second 64 KiB
+        for a moment, and the transfers and factors take less than one.
+        """
+        program = ir.parse(
+            "DECLARE ro BIT[2]\nDECLARE f BIT[2]\nH 0\nCNOT 0 1\n"
+            "LABEL @a\nRESET 2\nRY(1.1) 2\nT 0\nCNOT 2 1\nMEASURE 2 f[0]\n"
+            "JUMP-WHEN @a f[0]\n"
+            "LABEL @b\nRESET 2\nRY(0.7) 2\nH 1\nCNOT 2 0\nMEASURE 2 f[1]\n"
+            "JUMP-WHEN @b f[1]\nMEASURE 0 ro[0]\nMEASURE 1 ro[1]\n"
+        )
+        assert oracle._qubit_count(program) == oracle.LOOP_MAX_QUBITS
+        superops = 3 * 4**6 * 16
+        oracle.run(program)  # numpy's one-off set-up is not the oracle's
+        loops = _record_calls(monkeypatch, "_run_loop")
+        tracemalloc.start()
+        try:
+            d = oracle.run(program)
+            in_place = len(loops)
+            loops.clear()  # the recorded arguments hold the plans
+            left, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(d.probabilities) == 4 and in_place == 2
+        assert peak < 3 * superops
+        assert left < 20_000  # the superoperators went with the call
