@@ -4,9 +4,10 @@ All analyses here are per-segment and intentionally conservative:
 
 * :func:`constant_propagation` tracks classical cells that provably hold a
   literal (only a ``MOVE cell literal`` introduces one) and single-qubit
-  states restricted to the six Pauli eigenstates.  Crossing a label that
-  any jump targets discards every fact, because another path may enter
-  there with different values.
+  states restricted to the six Pauli eigenstates.  At a join of the trace
+  (``Ddg.joins``: :mod:`quilopt.graphs` records where its walk passes a
+  label some jump targets) every fact is discarded, because another path
+  may enter there with different values.
 * :func:`live_variables` runs backwards from the readout cells over a
   terminating trace and records writes that can never be observed.
 * :func:`find_hybrid_dependencies` gives, for every hybrid instruction,
@@ -128,70 +129,23 @@ class SegmentFacts:
     cells_before: tuple[Mapping, ...]
     qubits_before: tuple[Mapping, ...]
 
-    def cell_value(self, node_index: int, token):
-        return self.cells_before[node_index].get(token)
-
-    def qubit_state(self, node_index: int, qubit: int) -> str | None:
-        return self.qubits_before[node_index].get(qubit)
-
-
-def _jump_targets(program: ir.Program) -> frozenset[str]:
-    return frozenset(
-        instr.target
-        for instr in program.instructions
-        if isinstance(instr, (ir.Jump, ir.JumpWhen, ir.JumpUnless))
-    )
-
-
-def _qubit_universe(program: ir.Program) -> tuple[int, ...]:
-    seen: set[int] = set()
-    for instr in program.instructions:
-        if isinstance(instr, (ir.Gate, ir.ParamGate)):
-            seen.update(instr.qubits)
-        elif isinstance(instr, ir.Measure):
-            seen.add(instr.qubit)
-        elif isinstance(instr, ir.Reset) and instr.qubit is not None:
-            seen.add(instr.qubit)
-    return tuple(sorted(seen))
-
-
-def _crosses_join(program: ir.Program, prev: int, cur: int, targets) -> bool:
-    """True when moving from node ``prev`` to node ``cur`` passes a point
-    where another execution path may merge in."""
-    if cur == prev + 1:
-        return False
-    if cur <= prev:
-        return True
-    for pos in range(prev + 1, cur):
-        between = program.instructions[pos]
-        if isinstance(between, ir.Jump):
-            return True
-        if isinstance(between, ir.Label) and between.name in targets:
-            return True
-    return False
-
 
 def constant_propagation(ddg: Ddg) -> SegmentFacts:
     program = ddg.program
-    targets = _jump_targets(program)
     regions = program.regions
 
     cells: dict = {}
     qubits: dict[int, str] = {}
     if ddg.role is Role.START:
         # Execution starts on a freshly initialized machine.
-        qubits = {q: "Z+" for q in _qubit_universe(program)}
-        if ddg.path and _crosses_join(program, -1, ddg.path[0], targets):
-            qubits.clear()
+        qubits = dict.fromkeys(program.qubits, "Z+")
 
     cells_before = []
     qubits_before = []
-    prev = ddg.path[0] if ddg.path else 0
     for k, pos in enumerate(ddg.path):
-        if k and _crosses_join(program, prev, pos, targets):
+        if k in ddg.joins:
             cells.clear()
             qubits.clear()
-        prev = pos
         cells_before.append(dict(cells))
         qubits_before.append(dict(qubits))
 
@@ -207,8 +161,7 @@ def constant_propagation(ddg: Ddg) -> SegmentFacts:
             _transfer_measure(instr, regions, cells, qubits)
         elif isinstance(instr, ir.Reset):
             if instr.qubit is None:
-                for q in _qubit_universe(program):
-                    qubits[q] = "Z+"
+                qubits.update(dict.fromkeys(program.qubits, "Z+"))
             else:
                 qubits[instr.qubit] = "Z+"
         # Control instructions only read; facts pass through.
@@ -300,17 +253,6 @@ class LivenessResult:
     dead_qubits: frozenset
 
 
-def _readout_tokens(program: ir.Program, readout) -> set:
-    tokens = set()
-    for name in readout:
-        decl = program.regions.get(name)
-        if decl is None:
-            raise ir.ValidationError(f"readout region {name!r} is not declared")
-        for i in range(decl.size):
-            tokens.add(("m", name, i))
-    return tokens
-
-
 def live_variables(ddg: Ddg, readout) -> LivenessResult:
     """Backward liveness over a trace that actually ends the program."""
     if not ddg.ends_program:
@@ -318,7 +260,11 @@ def live_variables(ddg: Ddg, readout) -> LivenessResult:
             f"liveness needs a terminating trace; {ddg.id} can continue"
         )
     program = ddg.program
-    live = _readout_tokens(program, readout)
+    live = {
+        ("m", name, i)
+        for name in program.readout(readout)
+        for i in range(program.regions[name].size)
+    }
     live_qubits: set[int] = set()
     dead_cells = set()
     dead_qubits = set()

@@ -85,12 +85,12 @@ def _cmd_optimize(args) -> int:
         known = ", ".join(transforms.PASS_PAIRS)
         raise SystemExit(f"unknown pass {unknown[0]!r} (choose from: {known})")
     program = _load_program(args.file)
-    readout = _split_csv(args.readout) if args.readout else None
+    readout = program.readout(_split_csv(args.readout)) if args.readout else None
     if args.dump_facts:
         with open(args.dump_facts, "w") as handle:
             _print_json(_facts_document(program), handle)
     optimized = transforms.apply_passes(program, names, readout)
-    text = optimized.to_text()
+    text = ir.emit(optimized)
     if args.output:
         Path(args.output).write_text(text)
     else:
@@ -99,8 +99,12 @@ def _cmd_optimize(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
+    for flag, count in (("--runs", args.runs), ("--pairs", args.pairs)):
+        if count < 0:
+            print(f"error: {flag} must be at least 0, got {count}", file=sys.stderr)
+            return 1
     program = _load_program(args.file)
-    readout = _split_csv(args.readout) if args.readout else None
+    readout = program.readout(_split_csv(args.readout)) if args.readout else None
     result = harness.run_experiment(
         program,
         runs=args.runs,

@@ -3,7 +3,10 @@
 A program is cut into straight-line *traces*: one starting at position 0,
 plus, for every conditional jump, one starting at its target label and one
 at its fall-through position.  Labels are never trace nodes and
-unconditional jumps are threaded through.
+unconditional jumps are threaded through.  The trace indices reached
+past a label that some jump targets (every threaded ``JUMP`` lands on
+one) are the trace's joins, where another path may merge in, so the
+analyses never look for them again.
 :func:`build_ddgs` is the one place that turns a program into its traces,
 each a :class:`Ddg`: a data-dependency graph over the trace's
 instructions with conflict edges (one instruction writes a resource
@@ -59,16 +62,21 @@ class Role(enum.Enum):
 
 
 def _trace(
-    program: ir.Program, labels: dict[str, int], entry: int
-) -> tuple[int, ...]:
-    """Follow execution from ``entry``; return its node positions."""
+    program: ir.Program, targets: set[str], entry: int
+) -> tuple[tuple[int, ...], frozenset[int]]:
+    """Follow execution from ``entry``.  Return its node positions and its
+    joins: the indices reached past a label in ``targets``, where another
+    path may merge in."""
     instructions = program.instructions
     path: list[int] = []
+    joins: set[int] = set()
     seen_jumps: set[int] = set()
     pos = entry
     while pos < len(instructions):
         instr = instructions[pos]
         if isinstance(instr, ir.Label):
+            if instr.name in targets:
+                joins.add(len(path))
             pos += 1
             continue
         if isinstance(instr, ir.Jump):
@@ -77,13 +85,14 @@ def _trace(
                     f"unconditional jump cycle through position {pos}"
                 )
             seen_jumps.add(pos)
-            pos = labels[instr.target]
+            pos = program.labels[instr.target]
             continue
         path.append(pos)
-        if isinstance(instr, (ir.Halt, ir.JumpWhen, ir.JumpUnless)):
+        if isinstance(instr, ir.TERMINATORS):
             break
         pos += 1
-    return tuple(path)
+    joins.discard(len(path))  # past the last node: nothing merges there
+    return tuple(path), frozenset(joins)
 
 
 def _ancestors(instructions: Sequence[ir.Instruction]) -> tuple[int, ...]:
@@ -164,6 +173,8 @@ class Ddg:
     valid topological order.  Both are built on first read and kept for
     the life of the graph; ``dataclasses.replace(ddg, program=...)`` gives
     the same trace over another program, with neither built yet.
+    ``joins`` are the trace indices reached past a jump-targeted label,
+    counting the walk from the trace's entry to its first node.
     """
 
     program: ir.Program = field(repr=False)
@@ -171,6 +182,7 @@ class Ddg:
     role: Role
     path: tuple[int, ...]
     ends_program: bool
+    joins: frozenset[int]
 
     @functools.cached_property
     def edges(self) -> frozenset[tuple[int, int]]:
@@ -200,11 +212,19 @@ def build_ddgs(program: ir.Program) -> tuple[Ddg, ...]:
     positions of labels, jumps and halts.
     """
     labels = program.labels
-    traces: dict[int, tuple[int, ...]] = {}
+    targets: set[str] = set()
+    entries: list[int] = []
+    for pos, instr in enumerate(program.instructions):
+        if isinstance(instr, (ir.Jump, ir.JumpWhen, ir.JumpUnless)):
+            targets.add(instr.target)
+            if not isinstance(instr, ir.Jump):
+                entries += (labels[instr.target], pos + 1)
+    entries.sort()
+    traces: dict[int, tuple[tuple[int, ...], frozenset[int]]] = {}
 
     def trace(entry: int):
         if entry not in traces:
-            traces[entry] = _trace(program, labels, entry)
+            traces[entry] = _trace(program, targets, entry)
         return traces[entry]
 
     def classify_end(path) -> tuple[Role, bool]:
@@ -216,35 +236,26 @@ def build_ddgs(program: ir.Program) -> tuple[Ddg, ...]:
         if isinstance(last, ir.Halt):
             return Role.HALT, True
         if isinstance(last, (ir.JumpWhen, ir.JumpUnless)):
-            fall = trace(path[-1] + 1)
-            target = trace(labels[last.target])
+            fall = trace(path[-1] + 1)[0]
+            target = trace(labels[last.target])[0]
             if not fall or not target:
                 # The program can terminate at this jump.
                 return Role.HALT, False
             return Role.INTERIOR, False
         return Role.HALT, True  # ran off the end of the program
 
-    start_path = trace(0)
-    ddgs = [
-        Ddg(program, "start", Role.START, start_path, classify_end(start_path)[1])
-    ]
-
-    entries: list[int] = []
-    for pos, instr in enumerate(program.instructions):
-        if isinstance(instr, (ir.JumpWhen, ir.JumpUnless)):
-            entries.append(labels[instr.target])
-            entries.append(pos + 1)
-    entries.sort()
+    path, joins = trace(0)
+    ddgs = [Ddg(program, "start", Role.START, path, classify_end(path)[1], joins)]
 
     counters = {Role.INTERIOR: 0, Role.HALT: 0}
     for entry in entries:
-        path = trace(entry)
+        path, joins = trace(entry)
         if not path:  # empty traces are dropped
             continue
         role, ends = classify_end(path)
         counters[role] += 1
         ddgs.append(
-            Ddg(program, f"{role.value}{counters[role]}", role, path, ends)
+            Ddg(program, f"{role.value}{counters[role]}", role, path, ends, joins)
         )
     return tuple(ddgs)
 

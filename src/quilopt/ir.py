@@ -164,7 +164,8 @@ Instruction = Union[
     Label, Jump, JumpWhen, JumpUnless, Halt,
 ]
 
-CONTROL_TYPES = (Label, Jump, JumpWhen, JumpUnless, Halt)
+# Instructions that end a trace where they stand.
+TERMINATORS = (JumpWhen, JumpUnless, Halt)
 
 
 @dataclass(frozen=True)
@@ -196,15 +197,27 @@ class Program:
             if isinstance(i, Label)
         })
 
-    def default_readout(self) -> frozenset[str]:
-        """Regions treated as program output: ``ro`` if declared, else all."""
-        regions = self.regions
-        if "ro" in regions:
-            return frozenset({"ro"})
-        return frozenset(regions)
+    @functools.cached_property
+    def qubits(self) -> tuple[int, ...]:
+        """Every qubit index an instruction names, ascending."""
+        seen: set[int] = set()
+        for i in self.instructions:
+            if isinstance(i, (Gate, ParamGate)):
+                seen.update(i.qubits)
+            elif isinstance(i, (Measure, Reset)) and i.qubit is not None:
+                seen.add(i.qubit)
+        return tuple(sorted(seen))
 
-    def to_text(self) -> str:
-        return emit(self)
+    def readout(self, names=None) -> frozenset[str]:
+        """The regions treated as program output: ``names``, each of which
+        must be declared, or by default ``ro`` if declared, else all."""
+        regions = self.regions
+        if names is None:
+            return frozenset({"ro"} if "ro" in regions else regions)
+        for name in names:
+            if name not in regions:
+                raise ValidationError(f"readout region {name!r} is not declared")
+        return frozenset(names)
 
     def __len__(self) -> int:
         return len(self.instructions)
@@ -230,10 +243,6 @@ WILDCARD_QUBIT: Token = ("q", "*")
 
 def qubit_token(index: int) -> Token:
     return ("q", index)
-
-
-def cell_token(region: str, index: int) -> Token:
-    return ("m", region, index)
 
 
 def ref_token(ref: "MemoryRef") -> Token:
@@ -298,31 +307,31 @@ def resources(instr: Instruction) -> Resources:
         if isinstance(instr, ParamGate):
             for p in instr.params:
                 if isinstance(p, MemoryRef):
-                    reads.add(cell_token(p.region, p.index))
+                    reads.add(ref_token(p))
     elif isinstance(instr, Classical):
         dest = instr.operands[0]
-        writes.add(cell_token(dest.region, dest.index))
+        writes.add(ref_token(dest))
         if instr.op == "MOVE":
             src = instr.operands[1]
             if isinstance(src, MemoryRef):
-                reads.add(cell_token(src.region, src.index))
+                reads.add(ref_token(src))
         elif instr.op == "EXCHANGE":
             other = instr.operands[1]
-            reads.add(cell_token(dest.region, dest.index))
-            reads.add(cell_token(other.region, other.index))
-            writes.add(cell_token(other.region, other.index))
+            reads.add(ref_token(dest))
+            reads.add(ref_token(other))
+            writes.add(ref_token(other))
         elif instr.op in UNARY_OPS:
-            reads.add(cell_token(dest.region, dest.index))
+            reads.add(ref_token(dest))
         else:  # ADD SUB MUL DIV AND IOR XOR: dest is read and written
-            reads.add(cell_token(dest.region, dest.index))
+            reads.add(ref_token(dest))
             src = instr.operands[1]
             if isinstance(src, MemoryRef):
-                reads.add(cell_token(src.region, src.index))
+                reads.add(ref_token(src))
     elif isinstance(instr, Measure):
         reads.add(qubit_token(instr.qubit))
         writes.add(qubit_token(instr.qubit))
         if instr.target is not None:
-            writes.add(cell_token(instr.target.region, instr.target.index))
+            writes.add(ref_token(instr.target))
     elif isinstance(instr, Reset):
         if instr.qubit is None:
             writes.add(WILDCARD_QUBIT)
@@ -330,9 +339,9 @@ def resources(instr: Instruction) -> Resources:
             writes.add(qubit_token(instr.qubit))
     elif isinstance(instr, Declare):
         for i in range(instr.size):
-            writes.add(cell_token(instr.name, i))
+            writes.add(("m", instr.name, i))
     elif isinstance(instr, (JumpWhen, JumpUnless)):
-        reads.add(cell_token(instr.condition.region, instr.condition.index))
+        reads.add(ref_token(instr.condition))
     # Label, Jump, Halt: no resources
     return Resources(frozenset(reads), frozenset(writes))
 
@@ -350,17 +359,28 @@ _GATE_RE = re.compile(rf"^({_IDENT})(?:\(([^()]*)\))?((?:\s+\S+)*)\s*$")
 _LABEL_RE = re.compile(rf"^@({_IDENT})$")
 
 
+def _int(token: str, line: int) -> int:
+    """A decimal literal already matched as one; a ParseError past the
+    interpreter's int <-> str digit limit, where ``int()`` gives up."""
+    try:
+        return int(token)
+    except ValueError:
+        raise ParseError(
+            f"integer of {len(token)} characters is too long", line
+        ) from None
+
+
 def _parse_ref(token: str, line: int) -> MemoryRef:
     m = _REF_RE.match(token)
     if not m:
         raise ParseError(f"expected a memory reference, got {token!r}", line)
-    return MemoryRef(m.group(1), int(m.group(2)) if m.group(2) else 0)
+    return MemoryRef(m.group(1), _int(m.group(2), line) if m.group(2) else 0)
 
 
 def _parse_qubit(token: str, line: int) -> int:
-    if not token.isdigit():
+    if not token.isdecimal():
         raise ParseError(f"expected a qubit index, got {token!r}", line)
-    return int(token)
+    return _int(token, line)
 
 
 def _parse_float(token: str, line: int) -> float:
@@ -372,7 +392,7 @@ def _parse_float(token: str, line: int) -> float:
 
 def _parse_number(token: str, line: int):
     if _INT_RE.match(token):
-        return int(token)
+        return _int(token, line)
     if _NUM_RE.match(token):
         return _parse_float(token, line)
     raise ParseError(f"expected a number, got {token!r}", line)
@@ -433,7 +453,7 @@ def _parse_line(line_text: str, line: int) -> Instruction:
         m = _DECLARE_KIND_RE.match(tokens[2])
         if not m:
             raise ParseError(f"bad memory kind {tokens[2]!r}", line)
-        size = int(m.group(2)) if m.group(2) else 1
+        size = _int(m.group(2), line) if m.group(2) else 1
         if size < 1:
             raise ParseError("region size must be at least 1", line)
         if not re.match(rf"^{_IDENT}$", tokens[1]):

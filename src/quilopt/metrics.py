@@ -21,7 +21,7 @@ Three metrics, all computed from one two-clock schedule per trace of
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterable, Sequence
 
 from quilopt import graphs, ir
@@ -165,29 +165,10 @@ class MetricsReport:
     def instr_total(self) -> int:
         return sum(s.instr_count for s in self.per_ddg)
 
-    @property
-    def instr_profile(self) -> tuple[int, ...]:
-        return tuple(s.instr_count for s in self.per_ddg)
-
-    @property
-    def wall_profile(self) -> tuple[int, ...]:
-        return tuple(s.wall_time for s in self.per_ddg)
-
     def to_dict(self) -> dict:
-        return {
-            "per_ddg": [
-                {
-                    "id": s.id,
-                    "role": s.role,
-                    "instr_count": s.instr_count,
-                    "wall_time": s.wall_time,
-                }
-                for s in self.per_ddg
-            ],
-            "total_wall_time": self.total_wall_time,
-            "qin": self.qin,
-            "qct": self.qct,
-        }
+        document = asdict(self)
+        document["per_ddg"] = list(document["per_ddg"])
+        return document
 
 
 def report(program: ir.Program) -> MetricsReport:

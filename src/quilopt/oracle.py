@@ -248,15 +248,7 @@ class ReadoutDistribution:
 
 
 def _qubit_count(program: ir.Program) -> int:
-    highest = -1
-    for instr in program.instructions:
-        if isinstance(instr, (ir.Gate, ir.ParamGate)):
-            highest = max(highest, *instr.qubits)
-        elif isinstance(instr, ir.Measure):
-            highest = max(highest, instr.qubit)
-        elif isinstance(instr, ir.Reset) and instr.qubit is not None:
-            highest = max(highest, instr.qubit)
-    return highest + 1
+    return program.qubits[-1] + 1 if program.qubits else 0
 
 
 def _coerce(kind: str, value):
@@ -733,11 +725,7 @@ def run(
         raise OracleError(f"prune_epsilon must be at least 0, got {prune_epsilon}")
     if max_steps < 0:
         raise OracleError(f"max_steps must be at least 0, got {max_steps}")
-    if readout is None:
-        readout = program.default_readout()
-    for name in readout:
-        if name not in program.regions:
-            raise ir.ValidationError(f"readout region {name!r} is not declared")
+    readout = program.readout(readout)
 
     n = _qubit_count(program)
     if n > MAX_QUBITS:
@@ -948,8 +936,7 @@ def equivalent(
     Both programs must declare every readout region identically -- an
     optimization is not allowed to change the observable interface.
     """
-    if readout is None:
-        readout = original.default_readout()
+    readout = original.readout(readout)
     for name in readout:
         left = original.regions.get(name)
         right = candidate.regions.get(name)

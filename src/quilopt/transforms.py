@@ -22,22 +22,13 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass
 
 from quilopt import analyses, graphs, ir
 from quilopt.graphs import Ddg
 
-_CONTROL_TERMINATORS = (ir.JumpWhen, ir.JumpUnless, ir.Halt)
-
 
 # ---------------------------------------------------------------------------
 # constant folding
-
-
-@dataclass(frozen=True)
-class FoldDiagnostic:
-    position: int
-    message: str
 
 
 def _literal(value):
@@ -55,10 +46,10 @@ def _literal(value):
     return value
 
 
-def _fold_classical(instr: ir.Classical, regions, cells):
-    """Rewrite one classical instruction; returns (instr, diagnostic)."""
+def _fold_classical(instr: ir.Classical, regions, cells) -> ir.Classical:
+    """Rewrite one classical instruction with what ``cells`` know."""
     if instr.op == "EXCHANGE":
-        return instr, None
+        return instr
 
     dest = instr.operands[0]
     token = ir.ref_token(dest)
@@ -70,29 +61,27 @@ def _fold_classical(instr: ir.Classical, regions, cells):
         if value is not None:
             operands[1] = value
 
-    diagnostic = None
     if instr.op == "MOVE":
         folded = ir.Classical(instr.op, tuple(operands))
-        return (folded if folded != instr else instr), None
+        return folded if folded != instr else instr
 
     if instr.op in ir.UNARY_OPS:
         current = cells.get(token)
         if current is not None:
             result = _literal(analyses._apply_unary(instr.op, kind, current))
             if result is not None:
-                return ir.Classical("MOVE", (dest, result)), None
-        return instr, None
+                return ir.Classical("MOVE", (dest, result))
+        return instr
 
     current = cells.get(token)
     source = operands[1]
-    if instr.op == "DIV" and not isinstance(source, ir.MemoryRef) and source == 0:
-        diagnostic = "division by zero"
-    elif current is not None and not isinstance(source, ir.MemoryRef):
+    if current is not None and not isinstance(source, ir.MemoryRef):
+        # None where the op is undefined, such as a division by zero.
         result = _literal(analyses._apply_binary(instr.op, kind, current, source))
         if result is not None:
-            return ir.Classical("MOVE", (dest, result)), None
+            return ir.Classical("MOVE", (dest, result))
     folded = ir.Classical(instr.op, tuple(operands))
-    return (folded if folded != instr else instr), diagnostic
+    return folded if folded != instr else instr
 
 
 def _fold_param_gate(instr: ir.ParamGate, cells):
@@ -119,11 +108,11 @@ def _fold_param_gate(instr: ir.ParamGate, cells):
     return ir.Gate(instr.name, tuple(params), instr.qubits)
 
 
-def constant_fold(program: ir.Program):
+def constant_fold(program: ir.Program) -> ir.Program:
     """Substitute known-constant cells into operands.
 
-    Returns ``(program, diagnostics)``.  Instructions whose operands are
-    all known become plain MOVEs of the computed result; parametrized
+    Instructions whose operands are all known become plain MOVEs of the
+    computed result (never a division by zero); parametrized
     gates whose parameters are all known become ordinary gates.  Nothing
     is ever deleted, and positions shared between several traces are left
     alone (different entry paths may reach them with different values).
@@ -136,7 +125,6 @@ def constant_fold(program: ir.Program):
 
     regions = program.regions
     new_instructions = list(program.instructions)
-    diagnostics: list[FoldDiagnostic] = []
     for ddg in ddgs:
         facts = analyses.constant_propagation(ddg)
         for k, pos in enumerate(ddg.path):
@@ -145,14 +133,11 @@ def constant_fold(program: ir.Program):
             instr = new_instructions[pos]
             cells = facts.cells_before[k]
             if isinstance(instr, ir.Classical):
-                folded, problem = _fold_classical(instr, regions, cells)
-                new_instructions[pos] = folded
-                if problem is not None:
-                    diagnostics.append(FoldDiagnostic(pos, problem))
+                new_instructions[pos] = _fold_classical(instr, regions, cells)
             elif isinstance(instr, ir.ParamGate):
                 new_instructions[pos] = _fold_param_gate(instr, cells)
 
-    return ir.Program(tuple(new_instructions)), tuple(diagnostics)
+    return ir.Program(tuple(new_instructions))
 
 
 # ---------------------------------------------------------------------------
@@ -185,8 +170,7 @@ def dead_code_elim(program: ir.Program, readout=None) -> ir.Program:
     surviving instruction references their region and the region is not
     part of the readout.  Resets and control instructions always stay.
     """
-    if readout is None:
-        readout = program.default_readout()
+    readout = program.readout(readout)
     ddgs = graphs.build_ddgs(program)
 
     membership: dict[int, list[Ddg]] = {}
@@ -297,7 +281,7 @@ def _order_balanced(ddg: Ddg) -> list[int]:
     instructions = ddg.instructions
     ancestors = ddg.ancestors
     n = len(instructions)
-    pinned = isinstance(instructions[-1], _CONTROL_TERMINATORS)
+    pinned = isinstance(instructions[-1], ir.TERMINATORS)
     movable = n - 1 if pinned else n
     cls = [ir.device_class(instr) for instr in instructions]
     quantum, classical = ir.DeviceClass.QUANTUM, ir.DeviceClass.CLASSICAL
@@ -386,13 +370,13 @@ def latest_possible_quantum(program: ir.Program) -> ir.Program:
 
 
 # Analysis/transform pairs, keyed by the names the CLI and the experiment
-# harness use; each maps (program, readout) to the rewritten program.
+# harness use; each maps (program, readout regions) to the rewritten program.
 PASS_PAIRS = {
-    "const-prop-fold": lambda program, readout=None: constant_fold(program)[0],
+    "const-prop-fold": lambda program, readout: constant_fold(program),
     "liveness-dce": dead_code_elim,
-    "hybrid-deps-reorder": lambda program, readout=None: reorder_instructions(program),
+    "hybrid-deps-reorder": lambda program, readout: reorder_instructions(program),
     "hybrid-deps-latest-quantum": (
-        lambda program, readout=None: latest_possible_quantum(program)
+        lambda program, readout: latest_possible_quantum(program)
     ),
 }
 
@@ -404,7 +388,7 @@ def apply_pass(program: ir.Program, name: str, readout=None) -> ir.Program:
         raise ValueError(
             f"unknown pass {name!r}; expected one of {sorted(PASS_PAIRS)}"
         ) from None
-    return step(program, readout)
+    return step(program, program.readout(readout))
 
 
 def apply_passes(program: ir.Program, names, readout=None) -> ir.Program:

@@ -1,5 +1,6 @@
-"""Shared test helpers: a seeded random-program generator, and lookups
-on the traces of ``graphs.build_ddgs`` that only tests need.
+"""Shared test helpers: a seeded random-program generator, lookups on the
+traces of ``graphs.build_ddgs`` that only tests need, and a fixture that
+pins the int <-> str digit limit.
 
 The generator only emits forward jumps, so every generated program
 terminates and can be run through the reference simulator.  Classical ops
@@ -10,6 +11,9 @@ literals) so that folding and simulation are both well defined.
 from __future__ import annotations
 
 import random
+import sys
+
+import pytest
 
 from quilopt import ir
 
@@ -227,3 +231,16 @@ def random_retry_program(rng: random.Random, max_blocks: int = 2) -> ir.Program:
     program = ir.Program(tuple(declares) + (flag,) + tuple(body))
     ir.validate(program)
     return program
+
+
+@pytest.fixture
+def default_digit_limit():
+    """int <-> str conversion pinned at its default limit of 4,300
+    digits, which Python before 3.10.7 lacks and PYTHONINTMAXSTRDIGITS=0
+    turns off."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("int <-> str conversion has no digit limit here")
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(saved)

@@ -70,14 +70,14 @@ class TestConstantCells:
         ddg, facts = _start_facts(
             "DECLARE a INTEGER\nMOVE a 5\nADD a 1\n"
         )
-        assert facts.cell_value(2, ("m", "a", 0)) == 5
+        assert facts.cells_before[2].get(("m", "a", 0)) == 5
 
     def test_binary_with_both_known(self):
         ddg, facts = _start_facts(
             "DECLARE a INTEGER\nDECLARE b INTEGER\n"
             "MOVE a 5\nMOVE b 7\nADD a b\nMOVE b a\n"
         )
-        assert facts.cell_value(5, ("m", "a", 0)) == 12
+        assert facts.cells_before[5].get(("m", "a", 0)) == 12
         # and the copy picks the folded value up again
         ddgs = graphs.build_ddgs(
             ir.parse(
@@ -86,39 +86,39 @@ class TestConstantCells:
             )
         )
         f = analyses.constant_propagation(ddgs[0])
-        assert f.cell_value(7, ("m", "b", 0)) == 10
+        assert f.cells_before[7].get(("m", "b", 0)) == 10
 
     def test_unknown_operand_kills_dest(self):
         ddg, facts = _start_facts(
             "DECLARE a INTEGER\nDECLARE b INTEGER\nMOVE a 5\nADD a b\nMOVE b a\n"
         )
-        assert facts.cell_value(4, ("m", "a", 0)) is None
+        assert facts.cells_before[4].get(("m", "a", 0)) is None
 
     def test_exchange_swaps_facts(self):
         ddg, facts = _start_facts(
             "DECLARE a INTEGER[2]\nMOVE a[0] 1\nMOVE a[1] 2\n"
             "EXCHANGE a[0] a[1]\nMOVE a[0] a[0]\n"
         )
-        assert facts.cell_value(4, ("m", "a", 0)) == 2
-        assert facts.cell_value(4, ("m", "a", 1)) == 1
+        assert facts.cells_before[4].get(("m", "a", 0)) == 2
+        assert facts.cells_before[4].get(("m", "a", 1)) == 1
 
     def test_div_by_zero_is_unknown(self):
         ddg, facts = _start_facts(
             "DECLARE a INTEGER\nMOVE a 5\nDIV a 0\nADD a 1\n"
         )
-        assert facts.cell_value(3, ("m", "a", 0)) is None
+        assert facts.cells_before[3].get(("m", "a", 0)) is None
 
     def test_integer_division_floors(self):
         ddg, facts = _start_facts(
             "DECLARE a INTEGER\nMOVE a 7\nDIV a 2\nADD a 0\n"
         )
-        assert facts.cell_value(3, ("m", "a", 0)) == 3
+        assert facts.cells_before[3].get(("m", "a", 0)) == 3
 
     def test_real_division(self):
         ddg, facts = _start_facts(
             "DECLARE r REAL\nMOVE r 7\nDIV r 2\nADD r 0\n"
         )
-        assert facts.cell_value(3, ("m", "r", 0)) == pytest.approx(3.5)
+        assert facts.cells_before[3].get(("m", "r", 0)) == pytest.approx(3.5)
 
     def test_repeated_squaring_stops_at_what_emit_can_write(self):
         # 20 squarings of 10 would reach 10**(2**20), over a million
@@ -136,8 +136,8 @@ class TestConstantCells:
             if isinstance(value, int)
         ]
         assert sizes and max(sizes) <= limit
-        assert facts.cell_value(22, ("m", "a", 0)) is None
-        folded, _ = transforms.constant_fold(ddg.program)
+        assert facts.cells_before[22].get(("m", "a", 0)) is None
+        folded = transforms.constant_fold(ddg.program)
         assert ir.parse(ir.emit(folded)) == folded
 
     @pytest.mark.parametrize(
@@ -148,7 +148,7 @@ class TestConstantCells:
         ddg, facts = _start_facts(
             f"DECLARE a {kind}\nMOVE a {literal}\nADD a 0\n"
         )
-        assert facts.cell_value(2, ("m", "a", 0)) == expected
+        assert facts.cells_before[2].get(("m", "a", 0)) == expected
 
     @pytest.mark.parametrize(
         "kind,start,expected", [("BIT", 0, 1), ("OCTET", 5, 250), ("INTEGER", 5, -6)]
@@ -157,7 +157,7 @@ class TestConstantCells:
         ddg, facts = _start_facts(
             f"DECLARE a {kind}\nMOVE a {start}\nNOT a\nADD a 0\n"
         )
-        assert facts.cell_value(3, ("m", "a", 0)) == expected
+        assert facts.cells_before[3].get(("m", "a", 0)) == expected
 
     def test_join_label_kills_facts(self):
         # @merge is a jump target: another path may arrive there with a
@@ -169,7 +169,7 @@ class TestConstantCells:
         ddgs = graphs.build_ddgs(ir.parse(text))
         facts = analyses.constant_propagation(ddgs[0])
         add_index = ddgs[0].path.index(4)
-        assert facts.cell_value(add_index, ("m", "a", 0)) is None
+        assert facts.cells_before[add_index].get(("m", "a", 0)) is None
 
     def test_unreferenced_label_keeps_facts(self):
         text = (
@@ -178,7 +178,7 @@ class TestConstantCells:
         ddgs = graphs.build_ddgs(ir.parse(text))
         facts = analyses.constant_propagation(ddgs[0])
         add_index = ddgs[0].path.index(3)
-        assert facts.cell_value(add_index, ("m", "a", 0)) == 5
+        assert facts.cells_before[add_index].get(("m", "a", 0)) == 5
 
     def test_facts_match_concrete_machine(self):
         # Independent re-execution: every claimed constant must be the value
@@ -202,7 +202,7 @@ class TestConstantCells:
             }
             for k, pos in enumerate(ddgs[0].path):
                 for token, value in facts.cells_before[k].items():
-                    assert memory[token] == value, (program.to_text(), pos)
+                    assert memory[token] == value, (ir.emit(program), pos)
                 _execute_classical(program, program.instructions[pos], memory)
 
 
@@ -271,9 +271,9 @@ def _execute_classical(program, instr, memory):
 class TestQubitFacts:
     def test_start_segment_begins_in_ground_state(self):
         ddg, facts = _start_facts("H 0\nX 1\n")
-        assert facts.qubit_state(0, 0) == "Z+"
-        assert facts.qubit_state(0, 1) == "Z+"
-        assert facts.qubit_state(1, 0) == "X+"
+        assert facts.qubits_before[0].get(0) == "Z+"
+        assert facts.qubits_before[0].get(1) == "Z+"
+        assert facts.qubits_before[1].get(0) == "X+"
 
     def test_non_start_segment_is_unknown(self):
         text = (
@@ -283,44 +283,44 @@ class TestQubitFacts:
         ddgs = graphs.build_ddgs(ir.parse(text))
         halt = by_id(ddgs)["halt1"]
         facts = analyses.constant_propagation(halt)
-        assert facts.qubit_state(0, 0) is None
+        assert facts.qubits_before[0].get(0) is None
 
     def test_multi_qubit_gate_destroys_facts(self):
         ddg, facts = _start_facts("X 0\nCNOT 0 1\nZ 0\n")
-        assert facts.qubit_state(2, 0) is None
-        assert facts.qubit_state(2, 1) is None
+        assert facts.qubits_before[2].get(0) is None
+        assert facts.qubits_before[2].get(1) is None
 
     def test_non_clifford_destroys_fact(self):
         ddg, facts = _start_facts("T 0\nZ 0\n")
-        assert facts.qubit_state(1, 0) is None
+        assert facts.qubits_before[1].get(0) is None
 
     def test_param_gate_destroys_fact(self):
         ddg, facts = _start_facts("DECLARE r REAL\nRZ(r) 0\nZ 0\n")
-        assert facts.qubit_state(2, 0) is None
+        assert facts.qubits_before[2].get(0) is None
 
     def test_reset_restores_ground_state(self):
         ddg, facts = _start_facts("DECLARE r REAL\nRX(0.5) 0\nRESET 0\nH 0\n")
-        assert facts.qubit_state(2, 0) is None
-        assert facts.qubit_state(3, 0) == "Z+"
+        assert facts.qubits_before[2].get(0) is None
+        assert facts.qubits_before[3].get(0) == "Z+"
 
     def test_bare_reset_restores_all(self):
         ddg, facts = _start_facts("CNOT 0 1\nRESET\nX 0\nX 1\n")
-        assert facts.qubit_state(2, 0) == "Z+"
-        assert facts.qubit_state(2, 1) == "Z+"
+        assert facts.qubits_before[2].get(0) == "Z+"
+        assert facts.qubits_before[2].get(1) == "Z+"
 
     def test_measure_of_known_basis_state(self):
         ddg, facts = _start_facts(
             "DECLARE m BIT\nX 0\nMEASURE 0 m\nMOVE m m\n"
         )
-        assert facts.cell_value(3, ("m", "m", 0)) == 1
-        assert facts.qubit_state(3, 0) == "Z-"
+        assert facts.cells_before[3].get(("m", "m", 0)) == 1
+        assert facts.qubits_before[3].get(0) == "Z-"
 
     def test_measure_of_superposition(self):
         ddg, facts = _start_facts(
             "DECLARE m BIT\nH 0\nMEASURE 0 m\nMOVE m m\n"
         )
-        assert facts.cell_value(3, ("m", "m", 0)) is None
-        assert facts.qubit_state(3, 0) is None
+        assert facts.cells_before[3].get(("m", "m", 0)) is None
+        assert facts.qubits_before[3].get(0) is None
 
     def test_facts_match_statevector(self):
         rng = random.Random(9)
@@ -334,7 +334,7 @@ class TestQubitFacts:
             facts = analyses.constant_propagation(ddgs[0])
             state = STATE_VECTORS["Z+"].copy()
             for k, name in enumerate(ops):
-                claimed = facts.qubit_state(k, 0)
+                claimed = facts.qubits_before[k].get(0)
                 assert claimed is not None
                 assert _same_up_to_phase(state, STATE_VECTORS[claimed]), ops
                 state = (

@@ -126,6 +126,15 @@ class TestOptimize:
         )
         assert "MOVE keep 1" in out
 
+    @pytest.mark.parametrize("name", list(transforms.PASS_PAIRS))
+    def test_undeclared_readout_is_refused_by_every_pass(self, capsys, tiny_file, name):
+        code, out, err = run_cli(
+            capsys, "optimize", tiny_file, "--passes", name, "--readout", "nope"
+        )
+        assert code == 1
+        assert out == ""
+        assert err == "error: readout region 'nope' is not declared\n"
+
 
 class TestExperiment:
     def test_summary_and_json(self, capsys, teleport_file, tmp_path):
@@ -152,6 +161,13 @@ class TestExperiment:
         )
         assert code == 0
         assert "best" not in out
+
+    @pytest.mark.parametrize("flags", [("--pairs", "-1"), ("--runs", "-3")])
+    def test_negative_counts_are_refused(self, capsys, teleport_file, flags):
+        code, out, err = run_cli(capsys, "experiment", teleport_file, *flags)
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {flags[0]} must be at least 0, got {flags[1]}\n"
 
 
 class TestGraph:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ancestors, by_id, random_program
+from conftest import ancestors, by_id, random_program, random_retry_program
 from quilopt import graphs, ir, metrics, transforms
 from quilopt.fixtures import WORKLOADS, fixture_program
 from quilopt.graphs import Role
@@ -168,6 +168,71 @@ class TestSegmentation:
     def test_halt_role_numbering_by_entry_position(self):
         ddgs = graphs.build_ddgs(fixture_program("rus"))
         assert [d.id for d in ddgs] == ["start", "halt1", "halt2", "halt3"]
+
+
+def reference_joins(ddg):
+    """``Ddg.joins`` from source positions alone, without the trace walk:
+    index ``k`` joins when the move from the node before it goes backwards
+    or passes a ``JUMP`` or a jump-targeted label in the source; on the
+    start trace, index 0 when the gap from position 0 holds one."""
+    code = ddg.program.instructions
+    targets = {
+        i.target for i in code if isinstance(i, (ir.Jump, ir.JumpWhen, ir.JumpUnless))
+    }
+
+    def crosses(prev, cur):
+        if cur == prev + 1:
+            return False
+        return cur <= prev or any(
+            isinstance(i, ir.Jump) or isinstance(i, ir.Label) and i.name in targets
+            for i in code[prev + 1 : cur]
+        )
+
+    path = ddg.path
+    joins = {k for k in range(1, len(path)) if crosses(path[k - 1], path[k])}
+    if ddg.role is Role.START and path and crosses(-1, path[0]):
+        joins.add(0)
+    return joins
+
+
+class TestJoins:
+    def check(self, program):
+        for ddg in graphs.build_ddgs(program):
+            # Facts start empty on every trace but the start one, so only
+            # there does index 0 have a reference.
+            got = ddg.joins if ddg.role is Role.START else ddg.joins - {0}
+            assert got == reference_joins(ddg), (ir.emit(program), ddg.id)
+
+    def test_fixtures(self):
+        for name in WORKLOADS:
+            self.check(fixture_program(name))
+
+    def test_random_programs(self):
+        for seed in range(400):
+            self.check(random_program(random.Random(seed)))
+
+    def test_random_retry_programs(self):
+        for seed in range(200):
+            self.check(random_retry_program(random.Random(seed)))
+
+    def test_targeted_labels_and_jumps_join_untargeted_labels_do_not(self):
+        program = ir.parse(
+            "DECLARE c BIT\n"
+            "LABEL @top\n"        # 1, targeted below
+            "H 0\n"               # 2
+            "LABEL @plain\n"      # 3, never targeted
+            "X 0\n"               # 4
+            "JUMP @skip\n"        # 5
+            "Y 0\n"               # 6, unreachable from the start
+            "LABEL @skip\n"       # 7
+            "Z 0\n"               # 8
+            "JUMP-WHEN @top c\n"  # 9
+        )
+        start, *rest = graphs.build_ddgs(program)
+        assert start.path == (0, 2, 4, 8, 9)
+        assert start.joins == {1, 3}
+        # Entered at @top, the jump's target trace joins at its first node.
+        assert [d.joins for d in rest if d.path[0] == 2] == [{0, 2}]
 
 
 class TestEdges:

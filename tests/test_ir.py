@@ -104,11 +104,26 @@ class TestParseErrors:
             "MEASURE",
             "JUMP top",        # missing @ prefix
             "MOVE 3 4",        # destination must be a memory cell
+            "H \u00b2",        # a digit to str.isdigit(), not to int()
+            "RESET \u00b9",
         ],
     )
     def test_rejected(self, text):
         with pytest.raises(ir.ParseError):
             ir.parse(text + "\n")
+
+    @pytest.mark.parametrize(
+        "template",
+        [
+            "H {}",
+            "DECLARE a BIT\nMOVE a[{}] 1",
+            "DECLARE a INTEGER\nMOVE a -{}",
+            "DECLARE a BIT[{}]",
+        ],
+    )
+    def test_integer_past_the_digit_limit(self, template, default_digit_limit):
+        with pytest.raises(ir.ParseError, match="characters is too long"):
+            ir.parse(template.format("1" * 5000) + "\n")
 
     def test_error_carries_line_number(self):
         with pytest.raises(ir.ParseError, match="line 3"):
@@ -286,12 +301,24 @@ class TestEmit:
 class TestProgram:
     def test_default_readout_prefers_ro(self):
         p = ir.parse("DECLARE ro BIT\nDECLARE tmp BIT\n")
-        assert p.default_readout() == frozenset({"ro"})
+        assert p.readout() == frozenset({"ro"})
 
     def test_default_readout_falls_back_to_all(self):
         p = ir.parse("DECLARE a BIT\nDECLARE b BIT\n")
-        assert p.default_readout() == frozenset({"a", "b"})
-        assert ir.Program().default_readout() == frozenset()
+        assert p.readout() == frozenset({"a", "b"})
+        assert ir.Program().readout() == frozenset()
+
+    def test_readout_names_must_be_declared(self):
+        p = ir.parse("DECLARE ro BIT\nDECLARE tmp BIT\n")
+        assert p.readout(["tmp"]) == frozenset({"tmp"})
+        assert p.readout([]) == frozenset()
+        with pytest.raises(ir.ValidationError, match="'nope' is not declared"):
+            p.readout(["ro", "nope"])
+
+    def test_qubits_are_every_named_index_ascending(self):
+        p = ir.parse("DECLARE ro BIT\nH 3\nCNOT 3 1\nRESET\nMEASURE 5 ro\nRESET 0\n")
+        assert p.qubits == (0, 1, 3, 5)
+        assert ir.Program().qubits == ()
 
     def test_len(self):
         assert len(ir.parse("X 0\nY 0\n")) == 2

@@ -104,12 +104,12 @@ class TestWallTimes:
 
     def test_teleportation(self):
         rep = metrics.report(fixture_program("teleportation"))
-        assert rep.wall_profile == (6, 2, 1)
+        assert tuple(s.wall_time for s in rep.per_ddg) == (6, 2, 1)
         assert rep.total_wall_time == 9
 
     def test_rus(self):
         rep = metrics.report(fixture_program("rus"))
-        assert rep.wall_profile == (9, 10, 9, 6)
+        assert tuple(s.wall_time for s in rep.per_ddg) == (9, 10, 9, 6)
         assert rep.total_wall_time == 34
 
 
@@ -175,16 +175,16 @@ class TestQct:
 class TestReport:
     def test_teleportation_table(self):
         rep = metrics.report(fixture_program("teleportation"))
-        assert rep.instr_profile == (8, 2, 2)
-        assert rep.wall_profile == (6, 2, 1)
+        assert tuple(s.instr_count for s in rep.per_ddg) == (8, 2, 2)
+        assert tuple(s.wall_time for s in rep.per_ddg) == (6, 2, 1)
         assert rep.qin == 9
         assert rep.qct == 10
         assert rep.instr_total == 12
 
     def test_rus_table(self):
         rep = metrics.report(fixture_program("rus"))
-        assert rep.instr_profile == (12, 11, 10, 7)
-        assert rep.wall_profile == (9, 10, 9, 6)
+        assert tuple(s.instr_count for s in rep.per_ddg) == (12, 11, 10, 7)
+        assert tuple(s.wall_time for s in rep.per_ddg) == (9, 10, 9, 6)
         assert rep.qin == 34
         assert rep.qct == 35
         assert rep.instr_total == 40
@@ -204,8 +204,8 @@ class TestReport:
         rng = random.Random(5)
         for _ in range(30):
             rep = metrics.report(random_program(rng))
-            assert rep.total_wall_time == sum(rep.wall_profile)
-            assert rep.instr_total == sum(rep.instr_profile)
+            assert rep.total_wall_time == sum(s.wall_time for s in rep.per_ddg)
+            assert rep.instr_total == sum(s.instr_count for s in rep.per_ddg)
 
     def test_schedules_each_trace_once(self, monkeypatch):
         calls = []
@@ -225,7 +225,7 @@ class TestReport:
 
     def test_empty_program(self):
         rep = metrics.report(ir.Program())
-        assert rep.instr_profile == (0,)
+        assert tuple(s.instr_count for s in rep.per_ddg) == (0,)
         assert rep.total_wall_time == 0
         assert rep.qin == 0
         assert rep.qct == 0

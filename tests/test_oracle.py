@@ -48,8 +48,7 @@ def _collapse(state, n, qubit, outcome, probability):
 def reference_run(program, readout=None, *, max_steps=10_000, prune_epsilon=1e-12):
     """Branch-per-outcome execution; a branch whose probability is at most
     ``prune_epsilon`` or that runs ``max_steps`` instructions is truncated."""
-    if readout is None:
-        readout = program.default_readout()
+    readout = program.readout(readout)
     n = oracle._qubit_count(program)
     kinds = {d.name: d.kind for d in program.regions.values()}
     labels = program.labels
