@@ -58,8 +58,8 @@ class ExperimentResult:
     verified_runs: int
 
     @property
-    def modal(self) -> tuple[MetricsVector, int]:
-        return self.table[0]
+    def modal(self) -> tuple[MetricsVector, int] | None:
+        return self.table[0] if self.table else None
 
     def to_dict(self) -> dict:
         return {
@@ -106,6 +106,9 @@ def run_experiment(
     distinct program is measured once, and each distinct verified program
     is checked once; the result is that of computing every run afresh.
     """
+    for name, count in (("runs", runs), ("pairs", pairs), ("verify_runs", verify_runs)):
+        if count < 0:
+            raise ValueError(f"{name} must be at least 0, got {count}")
     applied: dict[tuple[ir.Program, str], ir.Program] = {}
     vectors: dict[ir.Program, MetricsVector] = {}
     verdicts: dict[ir.Program, tuple[bool, float]] = {}

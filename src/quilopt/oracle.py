@@ -35,24 +35,39 @@ being silently dropped.  Steps are counted per configuration, and a merged
 configuration carries the larger count of its members.
 
 A retry loop comes back to the same (pc, memory) key once per iteration,
-and the step from a key -- the instructions run until the next join,
-measurement or end -- is the same every time: the classical work depends
-only on the memory, and the quantum work is a fixed linear map on rho.
-So the second time a key is popped, its step is run as usual and also
-recorded as a *transfer*: the step's instruction count and, for each
-output (both outcomes of a measurement, a pruned one included; the join
-it reaches; or its readout key), the Kraus operators {K_i} of the step's
-gates, resets and projection, so that the output is
-rho -> sum_i K_i rho K_iᴴ, or the factor [K_1·V | K_2·V | ...].  Every
-later pop of the key that can run the whole step within ``max_steps``
-replays it, one matrix product per operator, and then treats each output
-as stepping would: the same prune test, merge and heap order.  Pruning,
-truncation and errors are therefore those of stepping, and only float
-rounding differs.  A step with a bare ``RESET``, one of more than 2**n
-operators, and every step of a program above ``REPLAY_MAX_QUBITS`` are
-always stepped.  Transfers live for one ``run`` call and take at most
-keys x outputs x operators x 4**n x 16 bytes, with at most two outputs
-per key and 2**n operators per output.
+and a key's step -- the instructions run until the next join,
+measurement or end -- is a fixed linear map on rho.  So the second pop of
+a key also records its step as a *transfer*: its instruction count and,
+per output (each outcome, a pruned one included; the join; or the
+readout key), the Kraus operators {K_i} of its gates, resets and
+projection (never for a bare ``RESET``).  Later pops run the key's
+*region*, what stepping would pop from it before it next goes back to
+the heap: for a loop head (a label key popped while no label at or below
+its pc is pending) its step, its outcome keys last in first out and the
+labels reached in pc order until the way back, a strongly connected part
+of the key graph (Tarjan, SIAM J. Comput. 1, 1972); for another key the
+key alone, which is replay.  A loop runs one iteration at a time without
+the heap (Ying and Feng, Acta Informatica 47, 2010, sum the same series
+in closed form, which would also sum the tail past ``prune_epsilon``): a
+key's input is the sum of its unpruned incoming outputs, prune tests,
+readouts and step counts are stepping's, and exits are summed and
+enqueued once the way back is pruned, so only float rounding differs.
+Its head goes back to the pop loop rather than commit an iteration that
+could pass ``max_steps`` or reaches a key with no transfer, and a loop
+with such a key waits for a pop of its head after which nothing was new.
+The state is a factor, replayed one product per operator, or in density
+form rho flattened to v: the Kraus operators of each path from a key
+whose input is summed give each output's trace row, stacked so that one
+product gives every mass of a stretch without merges, and, where a state
+is delivered, the superoperator S (the sum of kron(K, conj K)).  One rule
+picks the form: a transfer is kept while its stacks hold at most
+``DENSE_ENTRIES`` entries together, and a loop runs in density form while
+one superoperator (16**n entries) does, up to 3 qubits.  On two chained
+retry loops, density form ran 1.8-2.1x as fast as factor form at 2
+qubits, 1.0-1.4x at 3 and 0.3x at 4; factor form ran 1.1-2x as fast as
+stepping up to 5 qubits, 0.7-1.4x at 6 and 0.4-0.9x at 7.  A ``run`` call
+keeps ``DENSE_ENTRIES`` x 16 bytes per recorded key and 16**n x 16 per
+delivered output of a density loop.
 
 A cell is strongly live at pc where some path from there reads it for a
 gate parameter, a jump condition, the readout at the end, or a classical
@@ -68,31 +83,6 @@ into other zeroed cells, and results and errors are those of the unzeroed
 run, except where more merging changes what pruning and the merged step
 count cut off.  The dead cells of a pc are kept as runs of adjacent
 cells, each zeroed by one slice assignment.
-
-A *loop head* is a key at a label, popped while no label at or below its
-pc is pending, so that stepping would pop it next when it comes back.
-Its *step tree* is its transfer, followed through the transfers of the
-outcome keys it reaches, down to joins and readouts.  Where every key in
-that tree has a transfer, no two outcomes of one step merge, exactly one
-path leads back to the head, every other join is a label above its pc and
-the program has at most ``LOOP_MAX_QUBITS`` qubits, the head runs the
-loop in place, in density form: rho flattened to v, one 4**n x 4**n
-superoperator S (the sum of kron(K, conj K) over the Kraus operators of
-the path back) and one per exit, and one trace row per outcome and
-readout, stacked in a matrix F, all built once per ``run`` call.  An
-iteration is one product F·v, which gives every mass; stepping's prune
-test on each outcome, skipping a pruned outcome's subtree; the readout
-masses; v added to the sum of each exit reached; and v <- S·v (Ying and
-Feng, "Quantum loop programs", Acta Informatica 47, 2010, sum the same
-series in closed form).  The loop stops when the way back is pruned, or
-hands its state back to replay when the next iteration's deepest leaf
-would pass ``max_steps``; each exit's sum is mapped once, refactored by
-pivoted Cholesky and enqueued with the step count of its last member.
-Traversal, pruning, step counts and merges are stepping's, so only float
-rounding differs; the closed form is not used because it would sum the
-tail past ``prune_epsilon`` too.  A head keeps at most leaves x 4**2n x
-16 bytes of superoperators (64 KiB each at 3 qubits), where its leaves
-are its exits and the way back, for one ``run`` call.
 
 The classical semantics here are deliberately implemented from scratch,
 independent of the constant-propagation code, so the two can act as
@@ -114,16 +104,10 @@ import numpy as np
 from quilopt import ir
 
 MAX_QUBITS = 10
-# Replaying a step costs dense 2**n x 2**n products.  On two chained retry
-# loops they beat stepping 1.3-2x up to 5 qubits; at 6 they range from
-# 0.86x (two gates per iteration) to 1.6x (three per data qubit), and at 7
-# they lose, so steps above this bound are never replayed.
-REPLAY_MAX_QUBITS = 5
-# Running a loop in place costs 4**n x 4**n superoperator products.  On two
-# chained retry loops it beats replay 2x at 2 qubits and 1.5x at 3; at 4 it
-# runs at 0.57x and at 5 at 0.08x, so only loops of programs up to this
-# bound run in place.
-LOOP_MAX_QUBITS = 3
+# Dense operators pay only while small: a recorded step keeps its Kraus
+# stacks while they hold at most this many entries together, and a loop
+# runs in density form while one superoperator does (module docstring).
+DENSE_ENTRIES = 4096
 
 
 class OracleError(ir.QuilError):
@@ -466,16 +450,20 @@ def _dead_cells(program: ir.Program, labels, readout, at) -> dict:
 
 
 def _transfer(n, ops, count, outputs):
-    """A recorded step as replay needs it: ``(count, [(kind, target,
+    """A recorded step as regions need it: ``(count, [(kind, target,
     kraus)])``, where ``kraus`` stacks the k Kraus operators of ``ops``,
     followed by the output's projection if it has one, as a k x 2**n x
-    2**n array (None for the identity).  None past 2**n operators.
+    2**n array (None for the identity).  None where the stacks would hold
+    more than ``DENSE_ENTRIES`` entries together.
 
     Each operator is built from the identity with the functions stepping
     uses, one 2**n-wide block at a time, so no factor is ever wider than
     2**n.  A reset, recorded as ``(None, (qubit,))``, splits every block
     into P0 and X·P1 and leaves out the blocks that are exactly zero.
     """
+    stacks = sum(bool(ops) or projection is not None for _, _, projection in outputs)
+    if stacks * 4**n > DENSE_ENTRIES:
+        return None
     blocks = [np.eye(2**n, dtype=complex)]
     flip = FIXED_UNITARIES["X"]
     for unitary, qubits in ops:
@@ -488,7 +476,7 @@ def _transfer(n, ops, count, outputs):
             split.append(_project(b, qubit, 0))
             split.append(_apply_unitary(_project(b, qubit, 1), n, flip, qubits))
         blocks = [b for b in split if b.any()]
-        if len(blocks) > 2**n:
+        if stacks * len(blocks) * 4**n > DENSE_ENTRIES:
             return None
     stacked = []
     for kind, target, projection in outputs:
@@ -513,36 +501,10 @@ def _replay(kraus, factor):
     return out[:, out.any(axis=0)]
 
 
-def _compose(kraus, before, dim):
-    """The Kraus operators of ``before`` followed by those of ``kraus``
-    (None for the identity), at most dim**2 of them: a longer list is
-    refactored as ``_compact`` refactors a factor, on the operators
-    flattened into columns, which keeps sum_i vec(K_i) vec(K_i)ᴴ and so
-    the map."""
-    if kraus is None or before is None:
-        return before if kraus is None else kraus
-    ops = (kraus[:, None] @ before[None]).reshape(-1, dim, dim)
-    if len(ops) > dim * dim:
-        ops = _compact(ops.reshape(len(ops), -1).T, dim * dim).T.reshape(-1, dim, dim)
-    return ops
-
-
-def _trace_row(kraus, dim):
-    """The row r with r · vec(rho) = tr(sum_i K_i rho K_iᴴ), for rho
-    flattened row by row: tr(M rho) with M = sum_i K_iᴴ K_i, Hermitian, so
-    r = vec(Mᵀ) = vec(conj M)."""
-    if kraus is None:
-        return np.eye(dim).reshape(-1)
-    flat = kraus.reshape(-1, dim)
-    return (flat.T @ flat.conj()).reshape(-1)
-
-
 def _superop(kraus, dim):
     """rho -> sum_i K_i rho K_iᴴ on rho flattened row by row: the sum of
     kron(K_i, conj K_i), entry [(a, b), (i, j)] = sum_k K_k[a, i] conj
-    K_k[b, j] (None for the identity)."""
-    if kraus is None:
-        return None
+    K_k[b, j]."""
     flat = kraus.reshape(len(kraus), -1)
     pairs = (flat.T @ flat.conj()).reshape(dim, dim, dim, dim)
     return pairs.transpose(0, 2, 1, 3).reshape(dim * dim, dim * dim)
@@ -575,142 +537,192 @@ def _factor(vec, dim):
     return np.stack(columns, axis=1)
 
 
-_TEST, _READOUT, _EXIT, _RETURN = range(4)
-
-
-def _loop_plan(head, transfers, dim):
-    """``head``'s step tree, its transfer followed through the transfers of
-    the outcome keys it reaches down to joins and readouts, as
-    superoperators on the head's state v.  False while a key in the tree
-    has no transfer yet; None where the in-place path can never apply: a
-    key that is never replayed, two outcomes of one step that merge, an
-    exit to a label at or below the head's pc, or other than one way back
-    to the head.
-
-    The plan's ``events`` list what stepping does per iteration, in its
-    order: the prune test on an outcome (``_TEST``, with its row of
-    ``masses`` and the index past its subtree), a readout (row, key), an
-    exit (index into ``exits``, its depth) and the return to the head.
-    ``masses`` stacks one trace row per outcome and readout, so
-    ``masses @ v`` gives every mass of an iteration; ``step`` maps v to
-    the next iteration's (None: the identity); ``exits`` holds each
-    exit's label key and superoperator from v; ``cycle`` and ``deepest``
-    count the instructions from the head back to itself and to its
-    deepest leaf.
-
-    The walk only collects each path's Kraus stacks; only a plan that
-    applies composes them into trace rows and superoperators."""
-    rows, events, exits, back = [], [], [], []
-    deepest = 0
-    # (key, Kraus stacks from the head to it, depth, its mass row), or
-    # (None, None, None, event index of a prune test) past that test's
-    # subtree.  Last in first out, as stepping expands outcomes.
-    stack = [(head, (), 0, None)]
+def _region(head, transfers, joins, n, loop, partial):
+    """Recorded key ``head`` alone, or with ``loop`` what stepping pops
+    from it until it pops it again: its step, its outcome keys last in
+    first out, then the labels reached in pc order.  None where that never
+    comes back, reaches a key popped already or whose transfer is None,
+    has two labels at one pc waiting at once, or leaves at or below
+    ``top``, its highest label; False while a key has no transfer, unless
+    ``partial``.  ``sources`` are the nodes whose input is summed, in pop
+    order, as (events or None, trace rows, most instructions): all in
+    factor form, and in density form node 0 and each node with other than
+    one incoming edge, the others running inline after the edge into them.
+    An event is an edge (tested, slot, op, row, skip, offset): its slot is
+    a source's, the way back's, an exit's, a readout's or None (inline),
+    ``skip`` passes its inline subtree, ``offset`` counts instructions from
+    the source, and ``op`` is its Kraus stack or superoperator."""
+    # ``waiting`` holds the labels reached, in the order first reached.
+    slots, raw, stack, waiting = {}, [], [head], {}
     while stack:
-        key, before, depth, row = stack.pop()
-        if key is None:  # the subtree of the prune test at events[row] ends
-            events[row] = (_TEST, events[row][1], len(events), 0)
-            continue
-        if row is not None:
-            stack.append((None, None, None, len(events)))
-            events.append((_TEST, row, None, 0))
-        transfer = transfers.get(key, False)
-        if not transfer:
-            return transfer
-        count, outputs = transfer
-        depth += count
-        deepest = max(deepest, depth)
-        targets = [t for kind, t, _ in outputs if kind == "outcome"]
-        if len(set(targets)) < len(targets):
+        key = stack.pop()
+        slots[key] = len(raw)
+        raw.append(transfers.get(key, False))
+        if raw[-1] is None:
             return None
-        for kind, target, kraus in outputs:
-            after = before if kraus is None else before + (kraus,)
-            if kind == "join":
-                if target == head:
-                    back.append((after, depth))
-                    events.append((_RETURN, 0, None, 0))
-                elif target[0] > head[0]:
-                    events.append((_EXIT, len(exits), None, depth))
-                    exits.append((target, after))
-                else:
-                    return None
-                continue
-            rows.append(after)
+        for kind, target, _ in raw[-1][1] if loop and raw[-1] else ():
             if kind == "readout":
-                events.append((_READOUT, len(rows) - 1, target, 0))
-            else:
-                stack.append((target, after, depth, len(rows) - 1))
-    if len(back) != 1:
+                continue
+            if target in slots and target != head:
+                return None
+            if target[0] in joins:
+                waiting[target] = None
+            elif target not in stack:  # two outcomes of one step merge
+                stack.append(target)
+        if not stack and waiting:
+            pc = min(key[0] for key in waiting)
+            low = [key for key in waiting if key[0] == pc]
+            if len(low) > 1:  # which one stepping pops first depends on pruning
+                return None
+            if low[0] != head:
+                del waiting[low[0]]
+                stack.append(low[0])
+    top = max((key[0] for key in slots if key[0] in joins), default=head[0])
+    if loop and (head not in waiting or any(key[0] <= top for key in waiting if key != head)):
         return None
-    ((step, cycle),) = back
-
-    def composed(path):
-        ops = None
-        for kraus in path:
-            ops = _compose(kraus, ops, dim)
-        return ops
-
-    masses = [_trace_row(composed(path), dim) for path in rows]
-    return types.SimpleNamespace(
-        cycle=cycle,
-        deepest=deepest,
-        masses=np.array(masses).reshape(len(rows), dim * dim),
-        events=events,
-        step=_superop(composed(step), dim),
-        exits=[(target, _superop(composed(path), dim)) for target, path in exits],
-    )
-
-
-def _run_loop(loop, v, steps, max_steps, prune_epsilon, probabilities):
-    """Iterate ``loop`` from state ``v`` at ``steps`` as stepping would:
-    prune, read out and exit each iteration, until the way back is pruned
-    or the next iteration's deepest leaf would pass ``max_steps``.
-
-    Returns the truncated mass, the exits as ``(key, rho flattened, step
-    count of its last member)`` in the order stepping first reaches them,
-    and the state and step count to continue stepping from (None once the
-    loop is done).  Adds readout masses to ``probabilities``."""
-    truncated = 0.0
-    reached: dict = {}  # exit index -> [sum of v, step count]
-    events, count = loop.events, len(loop.events)
-    while steps + loop.deepest <= max_steps:
-        masses = (loop.masses @ v).real.tolist()
-        returned = False
-        i = 0
-        while i < count:
-            kind, row, target, depth = events[i]
-            i += 1
-            if kind == _TEST:
-                mass = masses[row]
-                if mass <= prune_epsilon or not mass:
-                    truncated += mass
-                    i = target
-            elif kind == _READOUT:
-                probabilities[target] = probabilities.get(target, 0.0) + masses[row]
-            elif kind == _EXIT:
-                entry = reached.get(row)
-                if entry is None:
-                    reached[row] = [v, steps + depth]
+    if loop and not partial and not all(raw):
+        return False
+    size, dim, dense = len(raw), 2**n, loop and 16**n <= DENSE_ENTRIES
+    # Incoming edges; exits numbered in the order their nodes are popped.
+    incoming, exits = [0] * size, {}
+    for i, transfer in enumerate(raw):
+        for e, (kind, target, _) in enumerate(transfer[1] if transfer else ()):
+            if kind != "readout" and not (loop and target == head):
+                if loop and target in slots:
+                    incoming[slots[target]] += 1
                 else:
-                    entry[0] = entry[0] + v
-                    entry[1] = steps + depth
+                    exits[i, e] = len(exits)
+    inline = [dense and i and incoming[i] == 1 and raw[i] for i in range(size)]
+    source = {i: s for s, i in enumerate(i for i in range(size) if not inline[i])}
+    ops, reads, sources = {}, [], []
+    for i in source:
+        # A task is an edge (node, output, the Kraus operators into the
+        # node, instructions to the end of its step), last output first; an
+        # int closes the inline subtree of the edge at that event.
+        events, rows = [], []
+        tasks = [(i, e, None, raw[i][0]) for e in range(len(raw[i][1]))] if raw[i] else None
+        while tasks:
+            task = tasks.pop()
+            if isinstance(task, int):
+                events[task][4] = len(events)
+                continue
+            j, e, into, offset = task
+            kind, target, kraus = raw[j][1][e]
+            if kind == "readout":
+                dest = len(source) + 1 + len(exits) + len(reads)
+                reads.append(target)
+            elif (j, e) in exits:
+                dest = len(source) + 1 + exits[j, e]
             else:
-                returned = True
-        if not returned:
-            v = None
-            break
-        if loop.step is not None:
-            v = loop.step @ v
-        steps += loop.cycle
-    exits: dict = {}
-    for index, (total, last) in reached.items():
-        target, superop = loop.exits[index]
-        rho = total if superop is None else superop @ total
-        if target in exits:
-            earlier, before = exits[target]
-            rho, last = earlier + rho, max(before, last)
-        exits[target] = (rho, last)
-    return truncated, [(t, rho, last) for t, (rho, last) in exits.items()], v, steps
+                dest = len(source) if target == head else source.get(slots[target])
+            op, row = kraus, None
+            if dense:
+                # The path's Kraus operators, refactored to at most 4**n as
+                # _compact refactors a factor; the trace row is vec(conj M) for
+                # M = sum_i K_iᴴ K_i, the superoperator formed only if delivered.
+                if kraus is None or into is None:
+                    op = into if kraus is None else kraus
+                else:
+                    op = (kraus[:, None] @ into[None]).reshape(-1, dim * dim).T
+                    op = _compact(op, dim * dim).T.reshape(-1, dim, dim)
+                if kind != "join":
+                    flat = np.eye(dim) if op is None else op.reshape(-1, dim)
+                    rows.append((flat.T @ flat.conj()).reshape(-1))
+                    row = len(rows) - 1
+            if dest is None:
+                t = slots[target]
+                tasks += [len(events)] + [(t, f, op, offset + raw[t][0]) for f in range(len(raw[t][1]))]
+            if kind == "readout" or dest is None:
+                op = None  # a step keeps the trace; an inline edge only leads on
+            elif dense:
+                op = ops[j, e] = None if op is None else _superop(op, dim)
+            events.append([kind == "outcome", dest, op, row, len(events) + 1, offset])
+        rows = np.array(rows).reshape(-1, dim * dim) if dense else None
+        reach = max((event[5] for event in events), default=0)
+        sources.append((events if raw[i] else None, rows, reach))
+    exits = [(raw[i][1][e][1], ops.get((i, e))) for i, e in exits]
+    return types.SimpleNamespace(sources=sources, exits=exits, reads=reads, top=top, dense=dense)
+
+
+def _gather(items, dim):
+    """What reached a source: its factors side by side, or the sum of op·v."""
+    if not isinstance(items[0], tuple):
+        return _compact(items[0] if len(items) == 1 else np.concatenate(items, axis=1), dim)
+    states = [v if op is None else op @ v for op, v in items]
+    return states[0] if len(states) == 1 else sum(states)
+
+
+def _run_region(region, factor, steps, max_steps, prune_epsilon, probabilities):
+    """Run ``region`` from ``factor`` at ``steps`` one iteration at a time,
+    as stepping pops it, until the way back is pruned or an iteration
+    reaches a node with no transfer or past ``max_steps`` (not committed).
+    Adds readout masses to ``probabilities``; returns the truncated mass,
+    the exits as (key, factor, step count) in the order stepping first
+    reaches them, and what goes on at the head (or None)."""
+    sources, dense, n_exits = region.sources, region.dense, len(region.exits)
+    size, dim, truncated, iteration = len(sources), len(factor), 0.0, 0
+    reads_at = size + 1 + n_exits
+    # Per exit: [its states summed (density: before its op), step count,
+    # the iteration that first reached it].
+    reached = [None] * n_exits
+    back = [(None, (factor @ factor.conj().T).reshape(-1)) if dense else factor]
+    while back:
+        # Per source, then the way back: what reaches it, its step count.
+        inputs, depths = [back] + [None] * size, [steps] * (size + 1)
+        outs, lost = [], 0.0
+        for s, (events, rows, reach) in enumerate(sources):
+            items = inputs[s]
+            if items is None:
+                continue
+            if events is None or depths[s] + reach > max_steps:
+                back = inputs[0]  # a key with no transfer, or one cut short
+                break
+            v = _gather(items, dim)
+            if dense:
+                masses = (rows @ v).real.tolist()
+            at, end, start = 0, len(events), depths[s]
+            while at < end:
+                tested, dest, op, row, skip, offset = events[at]
+                at += 1
+                if dense:
+                    out, mass = v, None if row is None else masses[row]
+                else:
+                    out = _replay(op, v)
+                    mass = _mass(out) if tested or dest >= reads_at else None
+                if tested and (mass <= prune_epsilon or not mass):
+                    lost += mass
+                    at = skip
+                elif dest is None:
+                    continue
+                elif dest > size:
+                    outs.append((dest - size - 1, mass if dest >= reads_at else out, start + offset))
+                else:
+                    inputs[dest] = (inputs[dest] or []) + [(op, v) if dense else out]
+                    depths[dest] = max(depths[dest], start + offset)
+        else:
+            truncated += lost
+            for j, out, here in outs:
+                entry = reached[j] if j < n_exits else region.reads[j - n_exits]
+                if j >= n_exits:
+                    probabilities[entry] = probabilities.get(entry, 0.0) + out
+                elif entry is None:
+                    reached[j] = [out, here, iteration]
+                else:
+                    entry[0] = entry[0] + out if dense else _compact(
+                        np.concatenate((entry[0], out), axis=1), dim
+                    )
+                    entry[1] = max(entry[1], here)
+            back, steps, iteration = inputs[size] or [], depths[size], iteration + 1
+            continue
+        break
+    exits = []
+    for _, j in sorted((entry[2], j) for j, entry in enumerate(reached) if entry):
+        (key, op), (out, last, _) = region.exits[j], reached[j]
+        exits.append((key, _factor(out if op is None else op @ out, dim) if dense else out, last))
+    if not back:
+        return truncated, exits, None
+    state = _gather(back, dim)
+    return truncated, exits, (_factor(state, dim) if dense else state, steps)
 
 
 def run(
@@ -750,13 +762,11 @@ def run(
     pending: dict = {}
     heap: list = []
     order = itertools.count()
-    # The keys popped so far, and key -> its transfer, or None where none
-    # can be replayed.
+    # The keys popped so far; key -> its transfer, or None where none is
+    # kept; and (key, loop) -> (when built, its region or False).
     popped: set = set()
     transfers: dict = {}
-    # Loop head key -> its ``_loop_plan``, or None where it never runs in
-    # place.
-    loops: dict = {}
+    cache: dict = {}
 
     def settle(pc, memory):
         """The key of a configuration at ``pc``, its dead cells zeroed."""
@@ -782,54 +792,39 @@ def run(
     while heap:
         _, _, key = heapq.heappop(heap)
         factor, steps = pending.pop(key)
-        # A loop head: a label key with a transfer, and no label at or
-        # below it pending, so stepping would come back to it next.
-        if (
-            n <= LOOP_MAX_QUBITS
-            and key[0] in joins
-            and transfers.get(key)
-            and (not heap or heap[0][0] > key[0])
-        ):
-            loop = loops.get(key, False)
-            if loop is False:
-                loop = _loop_plan(key, transfers, dim)
-                if loop is not False:
-                    loops[key] = loop
-            if loop and steps + loop.deepest <= max_steps:
-                lost, exits, v, steps = _run_loop(
-                    loop,
-                    (factor @ factor.conj().T).reshape(-1),
-                    steps,
-                    max_steps,
-                    prune_epsilon,
-                    probabilities,
+        if transfers.get(key):
+            # A label key with no label at or below it pending is a loop
+            # head: stepping pops it again next when it comes back.
+            head = key[0] in joins and (not heap or heap[0][0] > key[0])
+            for loop in (True, False)[not head :]:
+                # A loop missing a transfer waits until nothing new is popped.
+                version = len(transfers) + len(popped) if loop else 0
+                built = cache.get((key, loop), (None, False))
+                if built[0] != version or built[1] is False:
+                    stable = built[0] == version
+                    cache[key, loop] = (version, _region(key, transfers, joins, n, loop, stable))
+                ran = cache[key, loop][1]
+                if not ran or loop and heap and heap[0][0] <= ran.top:
+                    continue
+                lost, exits, rest = _run_region(
+                    ran, factor, steps, max_steps, prune_epsilon, probabilities
                 )
                 truncated += lost
-                for target, rho, last in exits:
-                    enqueue(target, _factor(rho, dim), last)
-                if v is None:
-                    continue
-                factor = _factor(v, dim)
-        transfer = transfers.get(key)
-        if transfer is not None and steps + transfer[0] <= max_steps:
-            count, outputs = transfer
-            for kind, target, kraus in outputs:
-                out = _replay(kraus, factor)
-                mass = _mass(out)
-                if kind == "readout":
-                    probabilities[target] = probabilities.get(target, 0.0) + mass
-                elif kind == "outcome" and (mass <= prune_epsilon or not mass):
-                    truncated += mass
-                else:
-                    enqueue(target, _compact(out, dim), steps + count)
-            continue
+                for target, out, last in exits:
+                    enqueue(target, out, last)
+                if rest is None:
+                    break
+                factor, steps = rest
+            else:
+                ran = None
+            if ran is not None:
+                continue
         # A key's first pop is stepped; its second is stepped and recorded:
         # ``ops`` lists its quantum operations, ``outputs`` what it reaches.
         ops = outputs = None
-        if n <= REPLAY_MAX_QUBITS:
-            if key in popped and key not in transfers:
-                ops, outputs = [], []
-            popped.add(key)
+        if key in popped and key not in transfers:
+            ops, outputs = [], []
+        popped.add(key)
         start = steps
         pc = key[0]
         memory = {name: list(values) for name, values in zip(names, key[1])}

@@ -114,6 +114,13 @@ class TestRunExperiment:
         assert result.verified_runs == 0
         assert result.to_dict()["best"] is None
         assert result.to_dict()["table"] == []
+        assert result.modal is None
+
+    @pytest.mark.parametrize("name", ["runs", "pairs", "verify_runs"])
+    def test_negative_counts_are_refused(self, name):
+        program = fixture_program("teleportation")
+        with pytest.raises(ValueError, match=f"^{name} must be at least 0, got -1$"):
+            harness.run_experiment(program, **{"runs": 2, "pairs": 2, name: -1})
 
     def test_same_seed_same_result(self):
         program = fixture_program("teleportation")

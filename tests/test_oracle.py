@@ -804,11 +804,19 @@ def _count_pops(monkeypatch):
 
 
 def _stepped(program, **kwargs):
-    """``oracle.run`` with every step stepped: without transfers, nothing
-    is replayed and no loop runs in place."""
+    """``oracle.run`` with every step stepped: no transfer is kept, so no
+    key runs a region."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(oracle, "REPLAY_MAX_QUBITS", -1)
+        patch.setattr(oracle, "_transfer", lambda *args: None)
         return oracle.run(program, **kwargs)
+
+
+def _agrees_with_stepping(program, **kwargs):
+    got = oracle.run(program, **kwargs)
+    want = _stepped(program, **kwargs)
+    assert got.distance(want) <= 1e-9
+    assert abs(got.truncated_mass - want.truncated_mass) <= 1e-9
+    return got
 
 
 CHAINED_LOOPS = (
@@ -823,9 +831,9 @@ class TestReplay:
     def test_each_loop_body_is_stepped_at_most_twice(self, monkeypatch):
         # A retry stops at 1e-6 after about 20 iterations and at 1e-12 after
         # about 40.  Each loop head is stepped twice, the second time also
-        # building its two Kraus operators, and replayed from then on, so
-        # the gate work is the same for both bounds.  Per loop: 2 gates x 2
-        # steps, the X of the reset and 2 gates x 2 operators.
+        # building its two Kraus operators, and runs its region from then
+        # on, so the gate work is the same for both bounds.  Per loop: 2
+        # gates x 2 steps, the X of the reset and 2 gates x 2 operators.
         program = ir.parse(CHAINED_LOOPS)
         calls = _count_gate_work(monkeypatch)
         counts = []
@@ -843,18 +851,14 @@ class TestReplay:
         prune_epsilon=st.sampled_from([0.0, 1e-12, 1e-4]),
     )
     def test_replay_agrees_with_stepping(self, seed, max_steps, prune_epsilon):
-        # Small step budgets cut loops mid-step, where a key's transfer no
-        # longer fits and the key is stepped instead; at 1e-4 a replayed
-        # outcome is pruned several iterations earlier.  (The branch-per-
-        # outcome reference is no yardstick there: a merged configuration
-        # keeps the larger step count of its members, so it truncates
-        # where the reference's separate branches do not.)
+        # Small step budgets cut loops mid-iteration, where a region hands
+        # its head back and keys are replayed or stepped one at a time; at
+        # 1e-4 an outcome is pruned several iterations earlier.  (The
+        # branch-per-outcome reference is no yardstick there: a merged
+        # configuration keeps the larger step count of its members, so it
+        # truncates where the reference's separate branches do not.)
         program = random_retry_program(random.Random(seed))
-        kwargs = {"max_steps": max_steps, "prune_epsilon": prune_epsilon}
-        got = oracle.run(program, **kwargs)
-        want = _stepped(program, **kwargs)
-        assert got.distance(want) <= 1e-9
-        assert abs(got.truncated_mass - want.truncated_mass) <= 1e-9
+        _agrees_with_stepping(program, max_steps=max_steps, prune_epsilon=prune_epsilon)
 
     @pytest.mark.parametrize(
         "text, calls",
@@ -879,20 +883,24 @@ class TestReplay:
         self, text, calls, monkeypatch
     ):
         # The counts are those of the oracle before replay existed: one
-        # gate application per gate per iteration, about 21 iterations.
+        # gate application per gate per iteration, about 21 iterations.  At
+        # 6 qubits the two outcome stacks of one reset hold 2 x 2 x 4**6
+        # entries, more than DENSE_ENTRIES, so no transfer is kept.
         program = ir.parse(text)
         counted = _count_gate_work(monkeypatch)
         assert oracle.run(program).truncated_mass < 1e-9
         assert len(counted) == calls
 
     def test_transfers_take_bounded_memory(self):
-        """Transfers take at most keys x outputs x operators x 4**n x 16
-        bytes, and go when ``run`` returns.
+        """Transfers take at most keys x DENSE_ENTRIES x 16 bytes, factor
+        regions share their stacks, and all of it goes when ``run``
+        returns.
 
         A three-bit counter in ro[0..2] steps on every retry and is read
         out after the loop, so the loop's keys cycle through its eight
-        values: 39 keys at 5 qubits, the most that is replayed.  Each step
-        has at most two outputs, and its one RESET gives two operators.
+        values: 39 keys at 5 qubits, the most whose steps are kept.  Each
+        step has at most two outputs, and its one RESET gives two
+        operators, 2 x 2 x 4**5 entries, just within DENSE_ENTRIES.
         """
         program = ir.parse(
             "DECLARE ro BIT[4]\nDECLARE f BIT\nDECLARE carry BIT\n"
@@ -902,8 +910,9 @@ class TestReplay:
             "XOR ro[1] ro[0]\nNOT ro[0]\n"
             "CNOT 4 3\nMEASURE 4 f\nJUMP-WHEN @retry f\nMEASURE 3 ro[3]\n"
         )
-        assert oracle._qubit_count(program) == oracle.REPLAY_MAX_QUBITS
-        worst = 39 * 2 * 2 * 4**5 * 16  # about 2.6 MB
+        assert oracle._qubit_count(program) == 5
+        assert 2 * 2 * 4**5 == oracle.DENSE_ENTRIES
+        worst = 39 * oracle.DENSE_ENTRIES * 16  # about 2.6 MB
         tracemalloc.start()
         try:
             d = oracle.run(program)
@@ -913,6 +922,20 @@ class TestReplay:
         assert len(d.probabilities) == 14
         assert peak < worst
         assert left < 100_000  # the transfers went with the call
+
+
+def _regions_run(monkeypatch):
+    """The regions ``oracle.run`` runs from now on: for each, whether it
+    is in density form and how many sources, exits and readouts it has."""
+    runs = []
+    real = oracle._run_region
+
+    def recording(region, *args):
+        runs.append((region.dense, len(region.sources), len(region.exits), len(region.reads)))
+        return real(region, *args)
+
+    monkeypatch.setattr(oracle, "_run_region", recording)
+    return runs
 
 
 class TestInPlace:
@@ -930,12 +953,20 @@ class TestInPlace:
         superop = oracle._superop(first, dim)
         assert np.allclose(superop, sum(np.kron(k, k.conj()) for k in first))
         assert np.allclose(superop @ rho.reshape(-1), mapped.reshape(-1))
-        assert np.isclose(oracle._trace_row(first, dim) @ rho.reshape(-1), np.trace(mapped))
-        # 256 products, refactored to at most dim**2 operators of the same map.
-        composed = oracle._compose(second, first, dim)
-        products = (second[:, None] @ first[None]).reshape(-1, dim, dim)
+        # A path's Kraus operators, composed and refactored to at most
+        # dim**2 as a density region's build does, keep the map S_2·S_1,
+        # and vec(conj M) for M = sum_i K_iᴴ K_i is its trace row.
+        products = (second[:, None] @ first[None]).reshape(-1, dim * dim).T
+        composed = oracle._compact(products, dim * dim).T.reshape(-1, dim, dim)
+        path = oracle._superop(second, dim) @ superop
+        twice = sum(k @ mapped @ k.conj().T for k in second)
         assert len(composed) <= dim * dim
-        assert np.allclose(oracle._superop(composed, dim), oracle._superop(products, dim))
+        assert np.allclose(oracle._superop(composed, dim), path)
+        assert np.allclose(path @ rho.reshape(-1), twice.reshape(-1))
+        flat = composed.reshape(-1, dim)
+        row = (flat.T @ flat.conj()).reshape(-1)
+        assert np.allclose(row, np.eye(dim).reshape(-1) @ path)
+        assert np.isclose(row @ rho.reshape(-1), np.trace(twice))
         # A rank-2 state and the zero state factor back exactly.
         v = stack(1)[0][:, :2]
         for state in (v @ v.conj().T, np.zeros((dim, dim))):
@@ -963,45 +994,46 @@ class TestInPlace:
         self, monkeypatch
     ):
         # The shape of perfbench's retry programs: each exit of the loop
-        # measures a data qubit into ro, so its step tree ends in readouts.
+        # measures a data qubit into ro, so its region ends in readouts and
+        # one product of the head's state gives all their masses.
         program = ir.parse(
             "DECLARE ro BIT[2]\nDECLARE flag BIT\nH 0\nT 0\n"
             "LABEL @retry\nRESET 2\nH 2\nRX(0.7) 1\nCNOT 0 1\nCNOT 2 1\n"
             "MEASURE 2 flag\nJUMP-WHEN @retry flag\nMEASURE 1 ro\nMOVE ro[1] 1\n"
         )
-        loops = _record_calls(monkeypatch, "_run_loop")
+        runs = _regions_run(monkeypatch)
         d = _agree(program, 1e-9)
         assert len(d.probabilities) == 2
-        assert len(loops) == 1
-        events = loops[0][0].events
-        assert sum(kind == oracle._READOUT for kind, *_ in events) == 2
+        assert runs == [(True, 1, 0, 2)]
 
     def test_above_the_loop_bound_loops_are_replayed(self, monkeypatch):
         text = CHAINED_LOOPS.replace("MEASURE 0 ro", "H 3\nCNOT 3 2\nMEASURE 0 ro")
         program = ir.parse(text)
-        assert oracle._qubit_count(program) == oracle.LOOP_MAX_QUBITS + 1
-        plans = _record_calls(monkeypatch, "_loop_plan")
+        assert 16 ** oracle._qubit_count(program) > oracle.DENSE_ENTRIES
+        runs = _regions_run(monkeypatch)
         replays = _record_calls(monkeypatch, "_replay")
         _agree(program, 1e-9)
-        assert plans == [] and len(replays) > 100
+        assert runs and not any(dense for dense, *_ in runs)
+        assert len(replays) > 100
 
     def test_stepped_neither_replays_nor_runs_in_place(self, monkeypatch):
         program = ir.parse(CHAINED_LOOPS)
-        transfers = _record_calls(monkeypatch, "_transfer")
-        plans = _record_calls(monkeypatch, "_loop_plan")
+        runs = _regions_run(monkeypatch)
+        regions = _record_calls(monkeypatch, "_region")
         d = _stepped(program)
-        assert transfers == [] and plans == []
+        assert runs == [] and regions == []
         assert d.distance(oracle.run(program)) <= 1e-12
 
     def test_superoperators_take_bounded_memory(self, monkeypatch):
-        """A loop head keeps at most leaves x 4**2n x 16 bytes, and they
-        go when ``run`` returns.
+        """A density region keeps 16**n x 16 bytes per delivered output,
+        and they go when ``run`` returns.
 
-        At 3 qubits, the most that runs in place, each superoperator is
-        64 x 64 complex, 64 KiB.  The first loop keeps two (its way back
-        and its exit), the second one (its exits end in readouts, which
-        keep one trace row each).  Building one takes a second 64 KiB
-        for a moment, and the transfers and factors take less than one.
+        At 3 qubits, the most that runs in density form, each
+        superoperator is 64 x 64 complex, 64 KiB.  The first loop keeps two
+        (its way back and its exit), the second one (its exits end in
+        readouts, which keep one trace row each).  Building one takes a
+        second 64 KiB for a moment, and the transfers and factors take less
+        than one.
         """
         program = ir.parse(
             "DECLARE ro BIT[2]\nDECLARE f BIT[2]\nH 0\nCNOT 0 1\n"
@@ -1010,18 +1042,79 @@ class TestInPlace:
             "LABEL @b\nRESET 2\nRY(0.7) 2\nH 1\nCNOT 2 0\nMEASURE 2 f[1]\n"
             "JUMP-WHEN @b f[1]\nMEASURE 0 ro[0]\nMEASURE 1 ro[1]\n"
         )
-        assert oracle._qubit_count(program) == oracle.LOOP_MAX_QUBITS
+        assert 16 ** oracle._qubit_count(program) == oracle.DENSE_ENTRIES
         superops = 3 * 4**6 * 16
         oracle.run(program)  # numpy's one-off set-up is not the oracle's
-        loops = _record_calls(monkeypatch, "_run_loop")
+        runs = _regions_run(monkeypatch)
         tracemalloc.start()
         try:
             d = oracle.run(program)
-            in_place = len(loops)
-            loops.clear()  # the recorded arguments hold the plans
             left, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert len(d.probabilities) == 4 and in_place == 2
+        assert len(d.probabilities) == 4
+        assert sum(dense for dense, *_ in runs) == 2
         assert peak < 3 * superops
         assert left < 20_000  # the superoperators went with the call
+
+
+class TestRegions:
+    """Loops that run as regions without the heap although outcomes merge,
+    the way back runs through a second label, or an outcome is never
+    recorded while it stays pruned."""
+
+    @pytest.mark.parametrize(
+        "program, pops",
+        [
+            # Two outcomes of the untargeted MEASURE 0 reach one key.
+            pytest.param(
+                ir.parse(CHAINED_LOOPS.replace("MEASURE 1 f[0]", "MEASURE 0\nMEASURE 1 f[0]")),
+                21,
+                id="merging-outcomes",
+            ),
+            # The way back from @retry runs through @done.
+            pytest.param(fixture_program("rus"), 23, id="rus"),
+            # MEASURE 0 straight after RESET 0 has an outcome of no mass,
+            # which is pruned and so never recorded; 5 qubits: factor form.
+            pytest.param(fixture_program("msd"), 122, id="msd"),
+        ],
+    )
+    def test_pops(self, program, pops, monkeypatch):
+        counted = _count_pops(monkeypatch)
+        oracle.run(program)
+        assert len(counted) == pops
+        monkeypatch.undo()
+        for prune_epsilon in (0.0, 1e-12, 1e-4):
+            for max_steps in (3, 20, 60, 10_000):
+                _agrees_with_stepping(
+                    program, max_steps=max_steps, prune_epsilon=prune_epsilon
+                )
+
+    def test_an_outcome_that_gains_mass_is_stepped_before_it_counts(self, monkeypatch):
+        # Qubit 0 flips on every fourth iteration (qubits 2 and 3 count), so
+        # the exits' MEASURE 0 first reaches ro=1 in the fourth.  By then a
+        # pop of the head has found nothing new, so the loop runs with that
+        # key's node but no transfer for it; the iteration that reaches it
+        # goes back to the pop loop uncommitted, and once the key is
+        # recorded the loop runs whole.
+        program = ir.parse(
+            "DECLARE ro BIT\nDECLARE f BIT\nLABEL @a\nRESET 1\nRY(0.9) 1\n"
+            "CCNOT 2 3 0\nCNOT 2 3\nX 2\nMEASURE 1 f\nJUMP-WHEN @a f\nMEASURE 0 ro\n"
+        )
+        runs = []  # per loop run: its nodes without a transfer, and whether it finished
+        real = oracle._run_region
+
+        def recording(region, *args):
+            result = real(region, *args)
+            if len(region.sources) > 1:
+                missing = sum(events is None for events, *_ in region.sources)
+                runs.append((missing, result[2] is None))
+            return result
+
+        monkeypatch.setattr(oracle, "_run_region", recording)
+        oracle.run(program)
+        assert runs == [(1, False), (0, True)]
+        monkeypatch.undo()
+        for prune_epsilon in (0.0, 1e-12, 1e-4):
+            _agree(program, 1e-9, prune_epsilon=prune_epsilon)
+            _agrees_with_stepping(program, prune_epsilon=prune_epsilon)
