@@ -22,6 +22,15 @@ the path alone pay for neither:
   hybrid-dependency analysis.  It is read off the closure without a
   second scan.
 
+While a :func:`memo` is open, results that depend only on content are
+kept by content: a trace's ``ancestors`` by its instruction tuple, the
+``ir.resources`` of each instruction that scan reads by the instruction,
+and the trace shapes of :func:`build_ddgs` (id, role, path,
+``ends_program``, joins) by the program's control skeleton.  A pass
+sequence rewrites a few traces at a time, so most of them repeat.  The
+memo lives for one ``transforms.apply_passes`` or
+``harness.run_experiment`` call; nothing is kept between calls.
+
 Trace roles:
 
 * ``START``    -- the trace from position 0
@@ -42,6 +51,7 @@ parallel blocks between hybrid synchronization points.
 
 from __future__ import annotations
 
+import contextlib
 import enum
 import functools
 from dataclasses import dataclass, field
@@ -59,6 +69,47 @@ class Role(enum.Enum):
     START = "start"
     INTERIOR = "interior"
     HALT = "halt"
+
+
+class _Memo:
+    """Results by content for the length of one :func:`memo` block."""
+
+    def __init__(self):
+        self.ancestors = {}  # trace instruction tuple -> _ancestors
+        self.resources = {}  # instruction -> ir.resources
+        self.shapes = {}  # control skeleton -> trace shapes
+        self.passes = {}  # (program, pass name, readout) -> pass result
+
+
+_memo: _Memo | None = None  # the open memo, if any
+
+
+@contextlib.contextmanager
+def memo():
+    """Open a memo for the ``with`` block, or reuse the one already open.
+
+    The block that opened it closes it on the way out, raising or not, so
+    a nested block never closes an outer one and nothing outlives the
+    outermost block.
+    """
+    global _memo
+    if _memo is not None:
+        yield _memo
+        return
+    _memo = _Memo()
+    try:
+        yield _memo
+    finally:
+        _memo = None
+
+
+def _recall(table: dict, key, compute, *args):
+    """``table[key]``, computed as ``compute(*args)`` and stored on a miss.
+    A call that raises stores nothing."""
+    value = table.get(key)
+    if value is None:
+        value = table[key] = compute(*args)
+    return value
 
 
 def _trace(
@@ -107,12 +158,16 @@ def _ancestors(instructions: Sequence[ir.Instruction]) -> tuple[int, ...]:
     so a qubit with no writer of its own since then falls back to it.
     Each index's set is the union of its dependencies' sets and themselves.
     """
+    memo = _memo
     anc: list[int] = []
     writer: dict[ir.Token, int] = {}
     readers: dict[ir.Token, list[int]] = {}
     wildcard: int | None = None  # the last bare RESET
     for j, instr in enumerate(instructions):
-        res = ir.resources(instr)
+        if memo is None:
+            res = ir.resources(instr)
+        else:
+            res = _recall(memo.resources, instr, ir.resources, instr)
         deps: set[int] = set()
         if ir.WILDCARD_QUBIT in res.writes:
             deps.update(i for t, i in writer.items() if t[0] == "q")
@@ -170,9 +225,10 @@ class Ddg:
     trace builds it, and the reordering passes need only that.  ``edges``
     are its transitive reduction mapped to positions: the paper's DDG,
     which DOT output and the analyses read.  The path order is always a
-    valid topological order.  Both are built on first read and kept for
-    the life of the graph; ``dataclasses.replace(ddg, program=...)`` gives
-    the same trace over another program, with neither built yet.
+    valid topological order.  Both, like ``instructions``, are built on
+    first read and kept for the life of the graph;
+    ``dataclasses.replace(ddg, program=...)`` gives the same trace over
+    another program, with none of them built yet.
     ``joins`` are the trace indices reached past a jump-targeted label,
     counting the walk from the trace's entry to its first node.
     """
@@ -193,14 +249,22 @@ class Ddg:
 
     @functools.cached_property
     def ancestors(self) -> tuple[int, ...]:
-        return _ancestors(self.instructions)
+        instructions = self.instructions
+        if _memo is None:
+            return _ancestors(instructions)
+        return _recall(_memo.ancestors, instructions, _ancestors, instructions)
 
-    @property
+    @functools.cached_property
     def instructions(self) -> tuple[ir.Instruction, ...]:
         return tuple(self.program.instructions[p] for p in self.path)
 
     def __len__(self) -> int:
         return len(self.path)
+
+
+# What trace shapes are made of: _trace and classify_end read these and the
+# program's length, nothing else.
+_CONTROL = (ir.Label, ir.Jump, ir.JumpWhen, ir.JumpUnless, ir.Halt)
 
 
 def build_ddgs(program: ir.Program) -> tuple[Ddg, ...]:
@@ -209,8 +273,24 @@ def build_ddgs(program: ir.Program) -> tuple[Ddg, ...]:
     Order: the start trace first, then the others by the source position
     where they enter.  Two jumps to the same label produce two (identical)
     graphs; each is scheduled independently.  Paths depend only on the
-    positions of labels, jumps and halts.
+    program's length and the positions of labels, jumps and halts, its
+    control skeleton, under which an open memo keeps them.
     """
+    if _memo is None:
+        shapes = _trace_shapes(program)
+    else:
+        skeleton = (len(program.instructions), tuple(
+            (pos, instr)
+            for pos, instr in enumerate(program.instructions)
+            if isinstance(instr, _CONTROL)
+        ))
+        shapes = _recall(_memo.shapes, skeleton, _trace_shapes, program)
+    return tuple(Ddg(program, *shape) for shape in shapes)
+
+
+def _trace_shapes(program: ir.Program) -> tuple[tuple, ...]:
+    """Each trace's Ddg fields after ``program``: id, role, path,
+    ``ends_program`` and joins, in :func:`build_ddgs` order."""
     labels = program.labels
     targets: set[str] = set()
     entries: list[int] = []
@@ -245,7 +325,7 @@ def build_ddgs(program: ir.Program) -> tuple[Ddg, ...]:
         return Role.HALT, True  # ran off the end of the program
 
     path, joins = trace(0)
-    ddgs = [Ddg(program, "start", Role.START, path, classify_end(path)[1], joins)]
+    shapes = [("start", Role.START, path, classify_end(path)[1], joins)]
 
     counters = {Role.INTERIOR: 0, Role.HALT: 0}
     for entry in entries:
@@ -254,10 +334,8 @@ def build_ddgs(program: ir.Program) -> tuple[Ddg, ...]:
             continue
         role, ends = classify_end(path)
         counters[role] += 1
-        ddgs.append(
-            Ddg(program, f"{role.value}{counters[role]}", role, path, ends, joins)
-        )
-    return tuple(ddgs)
+        shapes.append((f"{role.value}{counters[role]}", role, path, ends, joins))
+    return tuple(shapes)
 
 
 # ---------------------------------------------------------------------------

@@ -8,10 +8,12 @@ making every run reproducible independently of the others.
 
 Random sequences of a few passes reach only a handful of distinct
 programs, and every pass is a pure function of its (frozen, hashable)
-input program.  So one experiment call applies each (program, pass)
-pair once, measures each distinct program once and asks the oracle about
-each distinct verified program once.  These memos live for one call
-only; nothing is kept between calls.
+input program.  So one experiment call holds a :func:`graphs.memo` open,
+in which ``transforms.apply_passes`` applies each (program, pass) pair
+once and graph work is kept by content; it also measures each distinct
+program once and asks the oracle about each distinct verified program
+once.  These memos live for one call only; nothing is kept between
+calls.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from quilopt import ir, metrics, oracle, transforms
+from quilopt import graphs, ir, metrics, oracle, transforms
 
 # Canonical draw order for the experiment's random pass choices: the
 # registry's order, which the stored reference tables pin.
@@ -109,55 +111,51 @@ def run_experiment(
     for name, count in (("runs", runs), ("pairs", pairs), ("verify_runs", verify_runs)):
         if count < 0:
             raise ValueError(f"{name} must be at least 0, got {count}")
-    applied: dict[tuple[ir.Program, str], ir.Program] = {}
-    vectors: dict[ir.Program, MetricsVector] = {}
-    verdicts: dict[ir.Program, tuple[bool, float]] = {}
+    with graphs.memo():
+        vectors: dict[ir.Program, MetricsVector] = {}
+        verdicts: dict[ir.Program, tuple[bool, float]] = {}
 
-    def measured(candidate: ir.Program) -> MetricsVector:
-        if candidate not in vectors:
-            vectors[candidate] = measure(candidate)
-        return vectors[candidate]
+        def measured(candidate: ir.Program) -> MetricsVector:
+            if candidate not in vectors:
+                vectors[candidate] = measure(candidate)
+            return vectors[candidate]
 
-    counts: Counter[MetricsVector] = Counter()
-    best = None
-    verified = 0
-    for run in range(runs):
-        optimized = program
-        for name in draw_sequence(seed, run, pairs):
-            key = (optimized, name)
-            if key not in applied:
-                # Through the module attribute, so wrappers of it see the call.
-                applied[key] = transforms.apply_pass(optimized, name, readout)
-            optimized = applied[key]
-        if run < verify_runs:
-            if optimized not in verdicts:
-                verdicts[optimized] = oracle.equivalent(program, optimized, readout)
-            ok, distance = verdicts[optimized]
-            if not ok:
-                raise VerificationError(
-                    f"run {run} changed the readout distribution "
-                    f"(distance {distance:.3e})"
-                )
-            verified += 1
-        vector = measured(optimized)
-        counts[vector] += 1
-        if best is None:
-            best = vector
-        else:
-            best = MetricsVector(*(min(a, b) for a, b in zip(best, vector)))
+        counts: Counter[MetricsVector] = Counter()
+        best = None
+        verified = 0
+        for run in range(runs):
+            optimized = transforms.apply_passes(
+                program, draw_sequence(seed, run, pairs), readout
+            )
+            if run < verify_runs:
+                if optimized not in verdicts:
+                    verdicts[optimized] = oracle.equivalent(program, optimized, readout)
+                ok, distance = verdicts[optimized]
+                if not ok:
+                    raise VerificationError(
+                        f"run {run} changed the readout distribution "
+                        f"(distance {distance:.3e})"
+                    )
+                verified += 1
+            vector = measured(optimized)
+            counts[vector] += 1
+            if best is None:
+                best = vector
+            else:
+                best = MetricsVector(*(min(a, b) for a, b in zip(best, vector)))
 
-    table = tuple(
-        sorted(counts.items(), key=lambda item: (-item[1], item[0]))
-    )
-    return ExperimentResult(
-        runs=runs,
-        pairs=pairs,
-        seed=seed,
-        initial=measured(program),
-        best=best,
-        table=table,
-        verified_runs=verified,
-    )
+        table = tuple(
+            sorted(counts.items(), key=lambda item: (-item[1], item[0]))
+        )
+        return ExperimentResult(
+            runs=runs,
+            pairs=pairs,
+            seed=seed,
+            initial=measured(program),
+            best=best,
+            table=table,
+            verified_runs=verified,
+        )
 
 
 def compare(before: MetricsVector, after: MetricsVector) -> dict:

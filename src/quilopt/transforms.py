@@ -16,6 +16,13 @@ break runs), and the new order is projected into each run separately.
 Positions outside the segment -- labels, other segments -- never move,
 and a trace's terminating jump or halt is pinned to its original slot so
 the control structure is preserved exactly.
+
+Every pass is a pure function of its (frozen, hashable) input program
+and readout.  :func:`apply_passes` holds a :func:`graphs.memo` open for
+its call, or reuses the one its caller holds open: it applies each
+(program, pass name, readout) once, and the passes' graph work is kept
+by content (see :mod:`quilopt.graphs`).  Nothing is kept past the call
+that opened the memo.
 """
 
 from __future__ import annotations
@@ -392,6 +399,20 @@ def apply_pass(program: ir.Program, name: str, readout=None) -> ir.Program:
 
 
 def apply_passes(program: ir.Program, names, readout=None) -> ir.Program:
-    for name in names:
-        program = apply_pass(program, name, readout)
+    """Apply the named passes in order, each (program, pass name,
+    readout) once within the open memo."""
+    readout_key = None if readout is None else frozenset(readout)
+    with graphs.memo() as memo:
+        for name in names:
+            key = (program, name, readout_key)
+            result = memo.passes.get(key)
+            if result is None:
+                # By global name, so wrappers of the module attribute see it.
+                result = apply_pass(program, name, readout)
+                # A pass that changed nothing hands on its input, whose
+                # hash (the next key's) is already computed.
+                if result == program:
+                    result = program
+                memo.passes[key] = result
+            program = result
     return program

@@ -12,9 +12,9 @@ from quilopt.fixtures import WORKLOADS, fixture_program
 def reference_experiment(
     program, runs=500, pairs=25, seed=0, readout=None, verify_runs=10
 ):
-    """``run_experiment`` without memos: every run applies its passes,
-    measures its program and, among the first ``verify_runs``, asks the
-    oracle afresh."""
+    """``run_experiment`` with nothing kept between runs: every run applies
+    its passes in its own ``apply_passes`` call, measures its program and,
+    among the first ``verify_runs``, asks the oracle afresh."""
     counts = Counter()
     best = None
     verified = 0
