@@ -22,14 +22,12 @@ the path alone pay for neither:
   hybrid-dependency analysis.  It is read off the closure without a
   second scan.
 
-While a :func:`memo` is open, results that depend only on content are
-kept by content: a trace's ``ancestors`` by its instruction tuple, the
-``ir.resources`` of each instruction that scan reads by the instruction,
-and the trace shapes of :func:`build_ddgs` (id, role, path,
-``ends_program``, joins) by the program's control skeleton.  A pass
-sequence rewrites a few traces at a time, so most of them repeat.  The
-memo lives for one ``transforms.apply_passes`` or
-``harness.run_experiment`` call; nothing is kept between calls.
+While a :func:`memo` is open, a trace's ``ancestors`` are kept by its
+instruction tuple, and the ``ir.resources`` of each instruction that scan
+reads by the instruction.  A pass sequence rewrites a few traces at a
+time, so most of them repeat.  The memo lives for one
+``transforms.apply_passes`` or ``harness.run_experiment`` call; nothing
+is kept between calls.
 
 Trace roles:
 
@@ -77,7 +75,6 @@ class _Memo:
     def __init__(self):
         self.ancestors = {}  # trace instruction tuple -> _ancestors
         self.resources = {}  # instruction -> ir.resources
-        self.shapes = {}  # control skeleton -> trace shapes
         self.passes = {}  # (program, pass name, readout) -> pass result
 
 
@@ -262,35 +259,14 @@ class Ddg:
         return len(self.path)
 
 
-# What trace shapes are made of: _trace and classify_end read these and the
-# program's length, nothing else.
-_CONTROL = (ir.Label, ir.Jump, ir.JumpWhen, ir.JumpUnless, ir.Halt)
-
-
 def build_ddgs(program: ir.Program) -> tuple[Ddg, ...]:
     """Cut a program into its traces, one Ddg each.
 
     Order: the start trace first, then the others by the source position
     where they enter.  Two jumps to the same label produce two (identical)
     graphs; each is scheduled independently.  Paths depend only on the
-    program's length and the positions of labels, jumps and halts, its
-    control skeleton, under which an open memo keeps them.
+    positions of labels, jumps and halts.
     """
-    if _memo is None:
-        shapes = _trace_shapes(program)
-    else:
-        skeleton = (len(program.instructions), tuple(
-            (pos, instr)
-            for pos, instr in enumerate(program.instructions)
-            if isinstance(instr, _CONTROL)
-        ))
-        shapes = _recall(_memo.shapes, skeleton, _trace_shapes, program)
-    return tuple(Ddg(program, *shape) for shape in shapes)
-
-
-def _trace_shapes(program: ir.Program) -> tuple[tuple, ...]:
-    """Each trace's Ddg fields after ``program``: id, role, path,
-    ``ends_program`` and joins, in :func:`build_ddgs` order."""
     labels = program.labels
     targets: set[str] = set()
     entries: list[int] = []
@@ -325,7 +301,7 @@ def _trace_shapes(program: ir.Program) -> tuple[tuple, ...]:
         return Role.HALT, True  # ran off the end of the program
 
     path, joins = trace(0)
-    shapes = [("start", Role.START, path, classify_end(path)[1], joins)]
+    ddgs = [Ddg(program, "start", Role.START, path, classify_end(path)[1], joins)]
 
     counters = {Role.INTERIOR: 0, Role.HALT: 0}
     for entry in entries:
@@ -334,8 +310,10 @@ def _trace_shapes(program: ir.Program) -> tuple[tuple, ...]:
             continue
         role, ends = classify_end(path)
         counters[role] += 1
-        shapes.append((f"{role.value}{counters[role]}", role, path, ends, joins))
-    return tuple(shapes)
+        ddgs.append(
+            Ddg(program, f"{role.value}{counters[role]}", role, path, ends, joins)
+        )
+    return tuple(ddgs)
 
 
 # ---------------------------------------------------------------------------

@@ -409,10 +409,6 @@ def apply_passes(program: ir.Program, names, readout=None) -> ir.Program:
             if result is None:
                 # By global name, so wrappers of the module attribute see it.
                 result = apply_pass(program, name, readout)
-                # A pass that changed nothing hands on its input, whose
-                # hash (the next key's) is already computed.
-                if result == program:
-                    result = program
                 memo.passes[key] = result
             program = result
     return program

@@ -12,16 +12,16 @@ from quilopt.fixtures import WORKLOADS, fixture_program
 def reference_experiment(
     program, runs=500, pairs=25, seed=0, readout=None, verify_runs=10
 ):
-    """``run_experiment`` with nothing kept between runs: every run applies
-    its passes in its own ``apply_passes`` call, measures its program and,
-    among the first ``verify_runs``, asks the oracle afresh."""
+    """``run_experiment`` without memos: every run applies its passes,
+    measures its program and, among the first ``verify_runs``, asks the
+    oracle afresh."""
     counts = Counter()
     best = None
     verified = 0
     for run in range(runs):
-        optimized = transforms.apply_passes(
-            program, harness.draw_sequence(seed, run, pairs), readout
-        )
+        optimized = program
+        for name in harness.draw_sequence(seed, run, pairs):
+            optimized = transforms.apply_pass(optimized, name, readout)
         if run < verify_runs:
             ok, distance = oracle.equivalent(program, optimized, readout)
             if not ok:
