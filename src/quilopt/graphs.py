@@ -22,12 +22,16 @@ the path alone pay for neither:
   hybrid-dependency analysis.  It is read off the closure without a
   second scan.
 
-While a :func:`memo` is open, a trace's ``ancestors`` are kept by its
-instruction tuple, and the ``ir.resources`` of each instruction that scan
-reads by the instruction.  A pass sequence rewrites a few traces at a
-time, so most of them repeat.  The memo lives for one
-``transforms.apply_passes`` or ``harness.run_experiment`` call; nothing
-is kept between calls.
+The memo: while a :func:`memo` block is open, :func:`recall` computes a
+pure function once per argument tuple, keyed by the function and its
+arguments' content.  Every cache in quilopt goes through it: a trace's
+``ancestors`` by its instruction tuple, the ``ir.resources`` of each
+instruction that scan reads, and, in :mod:`quilopt.transforms` and
+:mod:`quilopt.harness`, pass results, metric vectors and oracle
+verdicts.  A pass sequence rewrites a few traces at a time and reaches a
+handful of distinct programs, so most of that work repeats.  The memo
+lives for one ``transforms.apply_passes`` or ``harness.run_experiment``
+call; nothing is kept between calls.
 
 Trace roles:
 
@@ -69,16 +73,8 @@ class Role(enum.Enum):
     HALT = "halt"
 
 
-class _Memo:
-    """Results by content for the length of one :func:`memo` block."""
-
-    def __init__(self):
-        self.ancestors = {}  # trace instruction tuple -> _ancestors
-        self.resources = {}  # instruction -> ir.resources
-        self.passes = {}  # (program, pass name, readout) -> pass result
-
-
-_memo: _Memo | None = None  # the open memo, if any
+_memo: dict | None = None  # the open memo, if any
+_MISS = object()
 
 
 @contextlib.contextmanager
@@ -93,19 +89,25 @@ def memo():
     if _memo is not None:
         yield _memo
         return
-    _memo = _Memo()
+    _memo = {}
     try:
         yield _memo
     finally:
         _memo = None
 
 
-def _recall(table: dict, key, compute, *args):
-    """``table[key]``, computed as ``compute(*args)`` and stored on a miss.
-    A call that raises stores nothing."""
-    value = table.get(key)
-    if value is None:
-        value = table[key] = compute(*args)
+def recall(compute, *args):
+    """``compute(*args)``, kept in the open memo under ``(compute, args)``
+    and computed there once; with no memo open, computed on every call.
+    ``compute`` must be a pure function of hashable ``args``.  A call that
+    raises stores nothing."""
+    memo = _memo
+    if memo is None:
+        return compute(*args)
+    key = (compute, args)
+    value = memo.get(key, _MISS)
+    if value is _MISS:
+        value = memo[key] = compute(*args)
     return value
 
 
@@ -155,16 +157,12 @@ def _ancestors(instructions: Sequence[ir.Instruction]) -> tuple[int, ...]:
     so a qubit with no writer of its own since then falls back to it.
     Each index's set is the union of its dependencies' sets and themselves.
     """
-    memo = _memo
     anc: list[int] = []
     writer: dict[ir.Token, int] = {}
     readers: dict[ir.Token, list[int]] = {}
     wildcard: int | None = None  # the last bare RESET
     for j, instr in enumerate(instructions):
-        if memo is None:
-            res = ir.resources(instr)
-        else:
-            res = _recall(memo.resources, instr, ir.resources, instr)
+        res = recall(ir.resources, instr)
         deps: set[int] = set()
         if ir.WILDCARD_QUBIT in res.writes:
             deps.update(i for t, i in writer.items() if t[0] == "q")
@@ -246,10 +244,7 @@ class Ddg:
 
     @functools.cached_property
     def ancestors(self) -> tuple[int, ...]:
-        instructions = self.instructions
-        if _memo is None:
-            return _ancestors(instructions)
-        return _recall(_memo.ancestors, instructions, _ancestors, instructions)
+        return recall(_ancestors, self.instructions)
 
     @functools.cached_property
     def instructions(self) -> tuple[ir.Instruction, ...]:
@@ -457,13 +452,8 @@ class Cfg:
 # DOT rendering
 # ---------------------------------------------------------------------------
 
-_CLASS_COLORS = {
-    ir.DeviceClass.QUANTUM: "lightblue",
-    ir.DeviceClass.CLASSICAL: "lightgoldenrod",
-    ir.DeviceClass.HYBRID: "lightcoral",
-}
-
-_KIND_COLORS = {"quantum": "lightblue", "classical": "lightgoldenrod", "hybrid": "lightcoral"}
+# Fill colour by device class value, which is also a Cfg block's kind.
+_COLORS = {"quantum": "lightblue", "classical": "lightgoldenrod", "hybrid": "lightcoral"}
 
 
 def _dot_escape(text: str) -> str:
@@ -474,7 +464,7 @@ def ddg_to_dot(ddg: Ddg) -> str:
     """Render one Ddg as a GraphViz digraph."""
     lines = [f'digraph "{_dot_escape(ddg.id)}" {{', "  rankdir=TB;"]
     for pos, instr in zip(ddg.path, ddg.instructions):
-        color = _CLASS_COLORS[ir.device_class(instr)]
+        color = _COLORS[ir.device_class(instr).value]
         label = _dot_escape(f"{pos}: {ir.instruction_text(instr)}")
         lines.append(
             f'  n{pos} [label="{label}", style=filled, fillcolor={color}];'
@@ -494,7 +484,7 @@ def cfg_to_dot(cfg: Cfg) -> str:
             for p in block.positions
         )
         label = f"{block.id} [{block.kind}]\\l{body}\\l"
-        color = _KIND_COLORS[block.kind]
+        color = _COLORS[block.kind]
         lines.append(
             f'  {block.id} [label="{label}", style=filled, fillcolor={color}];'
         )

@@ -8,12 +8,11 @@ making every run reproducible independently of the others.
 
 Random sequences of a few passes reach only a handful of distinct
 programs, and every pass is a pure function of its (frozen, hashable)
-input program.  So one experiment call holds a :func:`graphs.memo` open,
-in which ``transforms.apply_passes`` applies each (program, pass) pair
-once and graph work is kept by content; it also measures each distinct
-program once and asks the oracle about each distinct verified program
-once.  These memos live for one call only; nothing is kept between
-calls.
+input program.  So one experiment call holds the memo of
+:mod:`quilopt.graphs` open, in which ``transforms.apply_passes`` applies
+each (program, pass) pair once, each distinct program is measured once,
+and the oracle is asked about each distinct verified program once.  The
+memo lives for one call only; nothing is kept between calls.
 """
 
 from __future__ import annotations
@@ -111,15 +110,8 @@ def run_experiment(
     for name, count in (("runs", runs), ("pairs", pairs), ("verify_runs", verify_runs)):
         if count < 0:
             raise ValueError(f"{name} must be at least 0, got {count}")
+    readout = None if readout is None else frozenset(readout)
     with graphs.memo():
-        vectors: dict[ir.Program, MetricsVector] = {}
-        verdicts: dict[ir.Program, tuple[bool, float]] = {}
-
-        def measured(candidate: ir.Program) -> MetricsVector:
-            if candidate not in vectors:
-                vectors[candidate] = measure(candidate)
-            return vectors[candidate]
-
         counts: Counter[MetricsVector] = Counter()
         best = None
         verified = 0
@@ -128,16 +120,16 @@ def run_experiment(
                 program, draw_sequence(seed, run, pairs), readout
             )
             if run < verify_runs:
-                if optimized not in verdicts:
-                    verdicts[optimized] = oracle.equivalent(program, optimized, readout)
-                ok, distance = verdicts[optimized]
+                ok, distance = graphs.recall(
+                    oracle.equivalent, program, optimized, readout
+                )
                 if not ok:
                     raise VerificationError(
                         f"run {run} changed the readout distribution "
                         f"(distance {distance:.3e})"
                     )
                 verified += 1
-            vector = measured(optimized)
+            vector = graphs.recall(measure, optimized)
             counts[vector] += 1
             if best is None:
                 best = vector
@@ -151,7 +143,7 @@ def run_experiment(
             runs=runs,
             pairs=pairs,
             seed=seed,
-            initial=measured(program),
+            initial=graphs.recall(measure, program),
             best=best,
             table=table,
             verified_runs=verified,

@@ -96,9 +96,16 @@ def simulate(sequence: Iterable[ir.Instruction]) -> SegmentSchedule:
     )
 
 
-def _qct_breakdown(
+def qct_breakdown(
     ddgs: Sequence[Ddg], schedules: Sequence[SegmentSchedule]
 ) -> dict:
+    """QCT with its three components and the chosen final trace, from each
+    trace's schedule (``schedules[k]`` is ``simulate`` of ``ddgs[k]``).
+
+    Returns a dict with keys ``n_q_before``, ``delta_t_between``,
+    ``n_q_after``, ``total``, and ``final_ddg``; of several final traces
+    with the same total, the first is chosen.
+    """
     first = schedules[0]
     anchor = min(
         first.classical_before_first_hybrid, first.quantum_before_first_hybrid
@@ -134,16 +141,6 @@ def _qct_breakdown(
         ),
         key=lambda b: b["total"],
     )
-
-
-def qct_breakdown(ddgs: Sequence[Ddg]) -> dict:
-    """QCT with its three components and the chosen final trace.
-
-    Returns a dict with keys ``n_q_before``, ``delta_t_between``,
-    ``n_q_after``, ``total``, and ``final_ddg``; of several final traces
-    with the same total, the first is chosen.
-    """
-    return _qct_breakdown(ddgs, [simulate(d.instructions) for d in ddgs])
 
 
 @dataclass(frozen=True)
@@ -183,5 +180,5 @@ def report(program: ir.Program) -> MetricsReport:
         ),
         total_wall_time=sum(s.wall for s in schedules),
         qin=sum(s.quantum + s.hybrid for s in schedules),
-        qct=_qct_breakdown(ddgs, schedules)["total"],
+        qct=qct_breakdown(ddgs, schedules)["total"],
     )

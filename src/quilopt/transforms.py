@@ -18,11 +18,10 @@ and a trace's terminating jump or halt is pinned to its original slot so
 the control structure is preserved exactly.
 
 Every pass is a pure function of its (frozen, hashable) input program
-and readout.  :func:`apply_passes` holds a :func:`graphs.memo` open for
-its call, or reuses the one its caller holds open: it applies each
-(program, pass name, readout) once, and the passes' graph work is kept
-by content (see :mod:`quilopt.graphs`).  Nothing is kept past the call
-that opened the memo.
+and readout.  :func:`apply_passes` holds the memo of
+:mod:`quilopt.graphs` open for its call, or reuses the one its caller
+holds open, and recalls each (program, pass name, readout) there, so
+each is applied once.  Nothing is kept past the call that opened it.
 """
 
 from __future__ import annotations
@@ -291,12 +290,16 @@ def _order_balanced(ddg: Ddg) -> list[int]:
     pinned = isinstance(instructions[-1], ir.TERMINATORS)
     movable = n - 1 if pinned else n
     cls = [ir.device_class(instr) for instr in instructions]
-    quantum, classical = ir.DeviceClass.QUANTUM, ir.DeviceClass.CLASSICAL
-    masks = dict.fromkeys(ir.DeviceClass, 0)
-    for k in range(movable):
-        masks[cls[k]] |= 1 << k
+    # The movable indices of each device, as bitsets.  Plain locals, not a
+    # dict keyed by DeviceClass: an Enum's hash runs in Python.
+    quantum, classical, hybrid = (
+        sum(1 << k for k in range(movable) if cls[k] is device)
+        for device in (
+            ir.DeviceClass.QUANTUM, ir.DeviceClass.CLASSICAL, ir.DeviceClass.HYBRID
+        )
+    )
 
-    targets = list(_bits(masks[ir.DeviceClass.HYBRID]))
+    targets = list(_bits(hybrid))
     if not pinned and cls[-1] is not ir.DeviceClass.HYBRID:
         targets.append(n - 1)
 
@@ -308,25 +311,19 @@ def _order_balanced(ddg: Ddg) -> list[int]:
         pending = ancestors[target] & ~done
         order.extend(_bits(pending))
         done |= pending
-        counts = {
-            quantum: (pending & masks[quantum]).bit_count(),
-            classical: (pending & masks[classical]).bit_count(),
-        }
-        while counts[quantum] != counts[classical]:
-            lagging = classical if counts[quantum] > counts[classical] else quantum
+        # Queued quantum minus queued classical instructions.
+        lead = (pending & quantum).bit_count() - (pending & classical).bit_count()
+        while lead:
+            lagging = classical if lead > 0 else quantum
             pick = next(
-                (
-                    k
-                    for k in _bits(masks[lagging] & ~done)
-                    if not ancestors[k] & ~done
-                ),
+                (k for k in _bits(lagging & ~done) if not ancestors[k] & ~done),
                 None,
             )
             if pick is None:
                 break
             order.append(pick)
             done |= 1 << pick
-            counts[lagging] += 1
+            lead += -1 if lead > 0 else 1
         order.append(target)
         done |= 1 << target
 
@@ -401,14 +398,9 @@ def apply_pass(program: ir.Program, name: str, readout=None) -> ir.Program:
 def apply_passes(program: ir.Program, names, readout=None) -> ir.Program:
     """Apply the named passes in order, each (program, pass name,
     readout) once within the open memo."""
-    readout_key = None if readout is None else frozenset(readout)
-    with graphs.memo() as memo:
+    readout = None if readout is None else frozenset(readout)
+    with graphs.memo():
         for name in names:
-            key = (program, name, readout_key)
-            result = memo.passes.get(key)
-            if result is None:
-                # By global name, so wrappers of the module attribute see it.
-                result = apply_pass(program, name, readout)
-                memo.passes[key] = result
-            program = result
+            # By global name, so wrappers of the module attribute see it.
+            program = graphs.recall(apply_pass, program, name, readout)
     return program

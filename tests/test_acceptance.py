@@ -58,7 +58,10 @@ RZ(m) 0
 def test_schedule_breakdown_of_walkthrough():
     """QCT decomposition of the twelve-line example; exact, < 1 s."""
     start = time.monotonic()
-    breakdown = metrics.qct_breakdown(graphs.build_ddgs(ir.parse(SCHEDULE_EXAMPLE)))
+    ddgs = graphs.build_ddgs(ir.parse(SCHEDULE_EXAMPLE))
+    breakdown = metrics.qct_breakdown(
+        ddgs, [metrics.simulate(d.instructions) for d in ddgs]
+    )
     assert breakdown["n_q_before"] == 2
     assert breakdown["delta_t_between"] == 6
     assert breakdown["n_q_after"] == 1

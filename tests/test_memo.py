@@ -86,20 +86,59 @@ class TestHygiene:
             for _ in range(3):
                 with pytest.raises(graphs.GraphError):
                     transforms.apply_passes(program, ["liveness-dce"])
-            assert memo.passes == {}
+            assert memo == {}
 
     def test_nested_calls_reuse_and_keep_the_outer_memo(self):
         program = fixture_program("teleportation")
         with graphs.memo() as outer:
             transforms.apply_passes(program, ["const-prop-fold"])
             assert graphs._memo is outer
-            assert (program, "const-prop-fold", None) in outer.passes
+            assert (transforms.apply_pass, (program, "const-prop-fold", None)) in outer
             harness.run_experiment(program, runs=2, pairs=3)
             assert graphs._memo is outer
             with graphs.memo() as inner:
                 assert inner is outer
             assert graphs._memo is outer
         assert graphs._memo is None
+
+
+def counted(calls: list, name: str, f):
+    """``f``, recording ``(name, argument)`` in ``calls`` on each call."""
+
+    def compute(x):
+        calls.append((name, x))
+        return f(x)
+
+    return compute
+
+
+class TestRecall:
+    def test_functions_on_equal_arguments_are_kept_apart(self):
+        calls = []
+        double = counted(calls, "double", lambda x: 2 * x)
+        square = counted(calls, "square", lambda x: x * x)
+        nothing = counted(calls, "nothing", lambda x: None)
+        with graphs.memo():
+            got = [graphs.recall(f, 3) for f in (double, square, nothing) * 2]
+        assert got == [6, 9, None] * 2
+        assert calls == [("double", 3), ("square", 3), ("nothing", 3)]
+
+    def test_nothing_is_kept_with_no_memo_open(self):
+        calls = []
+        double = counted(calls, "double", lambda x: 2 * x)
+        assert [graphs.recall(double, 3) for _ in range(2)] == [6, 6]
+        assert calls == [("double", 3)] * 2
+        assert graphs._memo is None
+
+    def test_a_raising_call_stores_nothing(self):
+        calls = []
+        fail = counted(calls, "fail", lambda x: x / 0)
+        with graphs.memo() as memo:
+            for _ in range(2):
+                with pytest.raises(ZeroDivisionError):
+                    graphs.recall(fail, 3)
+            assert memo == {}
+        assert calls == [("fail", 3)] * 2
 
 
 class TestWorkCounts:

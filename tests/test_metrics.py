@@ -146,7 +146,10 @@ class TestQct:
         assert metrics.report(ir.parse("DECLARE m BIT\nMEASURE 0 m\nHALT\n")).qct == 3
 
     def test_walkthrough_breakdown(self):
-        b = metrics.qct_breakdown(_mk(WALKTHROUGH))
+        ddgs = _mk(WALKTHROUGH)
+        b = metrics.qct_breakdown(
+            ddgs, [metrics.simulate(d.instructions) for d in ddgs]
+        )
         assert b["n_q_before"] == 2
         assert b["delta_t_between"] == 6
         assert b["n_q_after"] == 1
