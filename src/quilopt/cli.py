@@ -99,7 +99,8 @@ def _cmd_optimize(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    for flag, count in (("--runs", args.runs), ("--pairs", args.pairs)):
+    counts = (("--runs", args.runs), ("--pairs", args.pairs), ("--seed", args.seed))
+    for flag, count in counts:
         if count < 0:
             print(f"error: {flag} must be at least 0, got {count}", file=sys.stderr)
             return 1
@@ -165,20 +166,22 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    reports = []
+    vectors = []
     for path in (args.before, args.after):
         with open(path) as handle:
-            reports.append(json.load(handle))
-
-    def flatten(document: dict) -> harness.MetricsVector:
-        return harness.MetricsVector(
-            wall_time=document["total_wall_time"],
-            instructions=sum(seg["instr_count"] for seg in document["per_ddg"]),
-            qin=document["qin"],
-            qct=document["qct"],
-        )
-
-    _print_json(harness.compare(*(flatten(d) for d in reports)))
+            try:
+                document = json.load(handle)
+                vectors.append(harness.MetricsVector(
+                    wall_time=document["total_wall_time"],
+                    instructions=sum(seg["instr_count"] for seg in document["per_ddg"]),
+                    qin=document["qin"],
+                    qct=document["qct"],
+                ))
+            except (ValueError, LookupError, TypeError) as error:
+                reason = f"{type(error).__name__}: {error}"
+                print(f"error: {path}: not a metrics report ({reason})", file=sys.stderr)
+                return 1
+    _print_json(harness.compare(*vectors))
     return 0
 
 

@@ -47,8 +47,11 @@ into code with unknown future uses.  That distinction is
 :attr:`Ddg.ends_program`, independent of the role.
 
 The :class:`Cfg` at the bottom is a block-level control-flow view used for
-visualization: runs of quantum-only and classical-only instructions become
-parallel blocks between hybrid synchronization points.
+visualization, built on ``ir.Program.successors``.  It cuts the program
+into *chunks*, runs of non-label positions that are all hybrid or all
+not, cut at a label, after a control instruction and where hybrid-ness
+changes; quantum and classical work between hybrid synchronization points
+becomes parallel blocks.
 """
 
 from __future__ import annotations
@@ -323,129 +326,49 @@ class Block:
 
 
 class Cfg:
-    """Block-level control-flow graph.
+    """Block-level control-flow graph over ``program.successors``.
 
-    Between hybrid instructions, quantum-only and classical-only work is
-    split into *parallel* blocks (they can run concurrently); hybrid
-    instructions and control flow form their own blocks, split at labels
-    and after jumps.
+    A hybrid chunk (module docstring) is one block; any other chunk is its
+    quantum block, then its classical block, which can run concurrently.
+    Each block of a chunk has an edge to every block of the first chunk at
+    or after each successor of the chunk's last position.  Block ids
+    follow chunk order.
     """
 
     def __init__(self, program: ir.Program):
         self.program = program
         self.blocks: list[Block] = []
         self.edges: set[tuple[str, str]] = set()
-        self._build()
-
-    def _build(self) -> None:
-        program = self.program
-        n = len(program.instructions)
-
-        # Cut into runs: a boundary before every label, after every jump
-        # and after HALT.
-        runs: list[list[int]] = []
-        current: list[int] = []
-        for pos in range(n):
-            instr = program.instructions[pos]
-            if isinstance(instr, ir.Label) and current:
-                runs.append(current)
-                current = []
-            current.append(pos)
-            if isinstance(instr, (ir.Jump, ir.JumpWhen, ir.JumpUnless, ir.Halt)):
-                runs.append(current)
-                current = []
-        if current:
-            runs.append(current)
-
-        # Blocks per run: alternate hybrid / non-hybrid chunks, splitting
-        # non-hybrid chunks into parallel quantum and classical blocks.
-        run_chunks: list[list[list[int]]] = []  # run -> chunk -> block index
-        for run in runs:
-            chunks: list[list[int]] = []
-            group: list[int] = []
-            group_hybrid: bool | None = None
-            body = [p for p in run if not isinstance(program.instructions[p], ir.Label)]
-            for pos in body:
-                is_hybrid = ir.device_class(program.instructions[pos]) is ir.DeviceClass.HYBRID
-                if group and is_hybrid != group_hybrid:
-                    chunks.append(self._emit_chunk(group, group_hybrid))
-                    group = []
-                group.append(pos)
-                group_hybrid = is_hybrid
-            if group:
-                chunks.append(self._emit_chunk(group, group_hybrid))
-            run_chunks.append(chunks)
-
-        run_start = {run[0]: i for i, run in enumerate(runs)}
-
-        def entry_blocks(run_index: int) -> list[int]:
-            """First chunk of the first block-bearing run at/after
-            run_index."""
-            i = run_index
-            while i < len(runs):
-                if run_chunks[i]:
-                    return run_chunks[i][0]
-                i += 1
-            return []
-
-        def run_of_label(name: str) -> int:
-            pos = self.program.labels[name]
-            return run_start[pos]
-
-        # Intra-run edges between consecutive chunks.
-        for chunks in run_chunks:
-            for a, b in zip(chunks, chunks[1:]):
-                for u in a:
-                    for v in b:
-                        self._edge(u, v)
-
-        # Run-to-run edges.
-        for i, run in enumerate(runs):
-            if not run_chunks[i]:
+        code = program.instructions
+        chunks: list[list[int]] = []
+        open_hybrid = None  # the open chunk's hybrid-ness; None once cut
+        for pos, instr in enumerate(code):
+            if isinstance(instr, ir.Label):
+                open_hybrid = None
                 continue
-            last_chunk = run_chunks[i][-1]
-            last_instr = program.instructions[run[-1]]
-            targets: list[int] = []
-            if isinstance(last_instr, ir.Halt):
-                pass
-            elif isinstance(last_instr, ir.Jump):
-                targets = entry_blocks(run_of_label(last_instr.target))
-            elif isinstance(last_instr, (ir.JumpWhen, ir.JumpUnless)):
-                targets = entry_blocks(run_of_label(last_instr.target))
-                targets = targets + entry_blocks(i + 1)
-            else:
-                targets = entry_blocks(i + 1)
-            for u in last_chunk:
-                for v in targets:
-                    self._edge(u, v)
+            hybrid = ir.device_class(instr) is ir.DeviceClass.HYBRID
+            if hybrid is not open_hybrid:
+                chunks.append([])
+            chunks[-1].append(pos)
+            control = isinstance(instr, (ir.Jump, *ir.TERMINATORS))
+            open_hybrid = None if control else hybrid
 
-    def _emit_chunk(self, positions: list[int], hybrid: bool | None) -> list[int]:
-        """Create the block(s) for one chunk; return their indices."""
-        created: list[int] = []
-        if hybrid:
-            created.append(self._add_block("hybrid", positions))
-        else:
-            quantum = [
-                p for p in positions
-                if ir.device_class(self.program.instructions[p]) is ir.DeviceClass.QUANTUM
-            ]
-            classical = [
-                p for p in positions
-                if ir.device_class(self.program.instructions[p]) is ir.DeviceClass.CLASSICAL
-            ]
-            if quantum:
-                created.append(self._add_block("quantum", quantum))
-            if classical:
-                created.append(self._add_block("classical", classical))
-        return created
-
-    def _add_block(self, kind: str, positions: list[int]) -> int:
-        index = len(self.blocks)
-        self.blocks.append(Block(f"b{index}", kind, tuple(positions)))
-        return index
-
-    def _edge(self, u: int, v: int) -> None:
-        self.edges.add((self.blocks[u].id, self.blocks[v].id))
+        # Block ids per chunk, keyed by the chunk's first position.
+        entry: dict[int, list[str]] = {}
+        for chunk in chunks:
+            ids = entry[chunk[0]] = []
+            for kind in ir.DeviceClass:
+                members = tuple(p for p in chunk if ir.device_class(code[p]) is kind)
+                if members:
+                    ids.append(f"b{len(self.blocks)}")
+                    self.blocks.append(Block(ids[-1], kind.value, members))
+        for chunk in chunks:
+            for succ in program.successors[chunk[-1]]:
+                while succ < len(code) and isinstance(code[succ], ir.Label):
+                    succ += 1
+                self.edges.update(
+                    (u, v) for u in entry[chunk[0]] for v in entry.get(succ, ())
+                )
 
 
 # ---------------------------------------------------------------------------

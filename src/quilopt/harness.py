@@ -107,7 +107,8 @@ def run_experiment(
     distinct program is measured once, and each distinct verified program
     is checked once; the result is that of computing every run afresh.
     """
-    for name, count in (("runs", runs), ("pairs", pairs), ("verify_runs", verify_runs)):
+    counts = (("runs", runs), ("pairs", pairs), ("seed", seed), ("verify_runs", verify_runs))
+    for name, count in counts:
         if count < 0:
             raise ValueError(f"{name} must be at least 0, got {count}")
     readout = None if readout is None else frozenset(readout)

@@ -198,6 +198,25 @@ class Program:
         })
 
     @functools.cached_property
+    def successors(self) -> tuple[tuple[int, ...], ...]:
+        """Per position, the positions control can go to next: a ``JUMP``'s
+        label, a conditional jump's label then its fall-through,
+        ``len(self)`` (the end) after ``HALT``, and the next position after
+        anything else."""
+        labels = self.labels
+        following = []
+        for pos, i in enumerate(self.instructions):
+            if isinstance(i, Jump):
+                following.append((labels[i.target],))
+            elif isinstance(i, (JumpWhen, JumpUnless)):
+                following.append((labels[i.target], pos + 1))
+            elif isinstance(i, Halt):
+                following.append((len(self.instructions),))
+            else:
+                following.append((pos + 1,))
+        return tuple(following)
+
+    @functools.cached_property
     def qubits(self) -> tuple[int, ...]:
         """Every qubit index an instruction names, ascending."""
         seen: set[int] = set()

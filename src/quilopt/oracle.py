@@ -344,7 +344,7 @@ def _can_raise(instr: ir.Classical, kinds) -> bool:
     return True in real and (len(real) == 2 or instr.op in ("AND", "IOR", "XOR", "NOT"))
 
 
-def _dead_cells(program: ir.Program, labels, readout, at) -> dict:
+def _dead_cells(program: ir.Program, readout, at) -> dict:
     """For every pc in ``at``, the cells that are not strongly live there,
     as runs ``(region, start, stop, zero value)`` of adjacent cells.
 
@@ -382,11 +382,11 @@ def _dead_cells(program: ir.Program, labels, readout, at) -> dict:
                     found |= 1 << (first + ref.index)
         return found
 
-    # Per pc: the cells always read, (written, read for it) pairs, the
-    # complement of the cells written, and the successors.
-    always, uses, kept, successors = [], [], [], []
-    for pc, instr in enumerate(code):
-        read, pairs, written, following = 0, (), 0, (pc + 1,)
+    # Per pc: the cells always read, (written, read for it) pairs and the
+    # complement of the cells written.
+    always, uses, kept = [], [], []
+    for instr in code:
+        read, pairs, written = 0, (), 0
         if isinstance(instr, ir.Classical):
             ops = instr.operands
             if instr.op == "EXCHANGE":
@@ -404,15 +404,9 @@ def _dead_cells(program: ir.Program, labels, readout, at) -> dict:
             written = mask((instr.target,))
         elif isinstance(instr, (ir.JumpWhen, ir.JumpUnless)):
             read = mask((instr.condition,))
-            following = (labels[instr.target], pc + 1)
-        elif isinstance(instr, ir.Jump):
-            following = (labels[instr.target],)
-        elif isinstance(instr, ir.Halt):
-            following = (len(code),)
         always.append(read)
         uses.append(pairs)
         kept.append(~written)
-        successors.append(following)
     # Backward strong liveness as bitsets, to a fixed point.
     at_end = sum(
         ((1 << size) - 1) << first
@@ -420,6 +414,7 @@ def _dead_cells(program: ir.Program, labels, readout, at) -> dict:
         if name in readout
     )
     live = [0] * len(code) + [at_end]
+    successors = program.successors
     changed = True
     while changed:
         changed = False
@@ -752,7 +747,7 @@ def run(
     code = program.instructions
     dim = 2**n
     outcomes_at = (pc + 1 for pc, i in enumerate(code) if isinstance(i, ir.Measure))
-    dead = _dead_cells(program, labels, readout, {0, *joins, *outcomes_at})
+    dead = _dead_cells(program, readout, {0, *joins, *outcomes_at})
 
     probabilities: dict = {}
     truncated = 0.0

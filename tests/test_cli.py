@@ -162,7 +162,9 @@ class TestExperiment:
         assert code == 0
         assert "best" not in out
 
-    @pytest.mark.parametrize("flags", [("--pairs", "-1"), ("--runs", "-3")])
+    @pytest.mark.parametrize(
+        "flags", [("--pairs", "-1"), ("--runs", "-3"), ("--seed", "-1")]
+    )
     def test_negative_counts_are_refused(self, capsys, teleport_file, flags):
         code, out, err = run_cli(capsys, "experiment", teleport_file, *flags)
         assert code == 1
@@ -268,3 +270,23 @@ class TestCompare:
         )
         assert code == 1
         assert "error:" in err
+
+    def test_invalid_json_is_refused(self, capsys, teleport_file, tmp_path):
+        report = tmp_path / "report.json"
+        run_cli(capsys, "metrics", teleport_file, "--json", report)
+        broken = tmp_path / "broken.json"
+        broken.write_text("not json\n")
+        code, out, err = run_cli(capsys, "compare", report, broken)
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: {broken}: not a metrics report (JSONDecodeError: ")
+
+    def test_json_without_metrics_is_refused(self, capsys, tmp_path):
+        empty = tmp_path / "empty.json"
+        empty.write_text("{}\n")
+        code, out, err = run_cli(capsys, "compare", empty, empty)
+        assert code == 1
+        assert out == ""
+        assert err == (
+            f"error: {empty}: not a metrics report (KeyError: 'total_wall_time')\n"
+        )

@@ -496,6 +496,40 @@ class TestCfg:
         halt_block = next(b for b in cfg.blocks if b.positions == (1,))
         assert not any(u == halt_block.id for u, _ in cfg.edges)
 
+    @staticmethod
+    def shape(cfg):
+        return [(b.kind, b.positions) for b in cfg.blocks], sorted(cfg.edges)
+
+    def test_label_only_runs_are_skipped(self):
+        # Two labels in a row: the jump back lands on @a, and the block it
+        # reaches is the first one past both labels.
+        p = ir.parse(
+            "DECLARE c BIT\nLABEL @a\nLABEL @b\nH 0\nJUMP-WHEN @a c\n"
+            "MEASURE 0\nLABEL @z\n"
+        )
+        assert self.shape(graphs.Cfg(p)) == (
+            [("classical", (0,)), ("quantum", (3,)), ("hybrid", (4,)),
+             ("hybrid", (5,))],
+            [("b0", "b1"), ("b1", "b2"), ("b2", "b1"), ("b2", "b3")],
+        )
+
+    def test_control_flow_alone_cuts_a_hybrid_chunk(self):
+        p = ir.parse("H 0\nHALT\nMEASURE 0\n")
+        assert self.shape(graphs.Cfg(p)) == (
+            [("quantum", (0,)), ("hybrid", (1,)), ("hybrid", (2,))],
+            [("b0", "b1")],
+        )
+
+    def test_jump_into_consecutive_labels(self):
+        p = ir.parse(
+            "DECLARE c BIT\nJUMP @x\nLABEL @x\nLABEL @y\nMOVE c 1\nH 0\n"
+        )
+        assert self.shape(graphs.Cfg(p)) == (
+            [("classical", (0,)), ("hybrid", (1,)), ("quantum", (5,)),
+             ("classical", (4,))],
+            [("b0", "b1"), ("b1", "b2"), ("b1", "b3")],
+        )
+
     def test_every_instruction_lands_in_one_block(self):
         for seed in range(60):
             program = random_program(random.Random(seed))
@@ -520,6 +554,58 @@ class TestDot:
         for u, v in ddg.edges:
             assert f"n{u} -> n{v};" in dot
         assert dot.rstrip().endswith("}")
+
+    CFG_DOT = {
+        "teleportation": r"""digraph "cfg" {
+  rankdir=TB;
+  node [shape=box];
+  b0 [label="b0 [quantum]\lH 1\lCNOT 1 2\lCNOT 0 1\l", style=filled, fillcolor=lightblue];
+  b1 [label="b1 [classical]\lDECLARE m BIT\lDECLARE ro BIT[2]\l", style=filled, fillcolor=lightgoldenrod];
+  b2 [label="b2 [hybrid]\lMEASURE 1 m\lMEASURE 2 ro\lJUMP-WHEN @fix m\l", style=filled, fillcolor=lightcoral];
+  b3 [label="b3 [hybrid]\lMEASURE 0 ro[1]\lHALT\l", style=filled, fillcolor=lightcoral];
+  b4 [label="b4 [quantum]\lX 2\l", style=filled, fillcolor=lightblue];
+  b5 [label="b5 [classical]\lNOT ro\l", style=filled, fillcolor=lightgoldenrod];
+  b0 -> b2;
+  b1 -> b2;
+  b2 -> b3;
+  b2 -> b4;
+  b2 -> b5;
+}
+""",
+        "rus": r"""digraph "cfg" {
+  rankdir=TB;
+  node [shape=box];
+  b0 [label="b0 [quantum]\lH 1\lCNOT 1 0\lT 1\lH 1\l", style=filled, fillcolor=lightblue];
+  b1 [label="b1 [classical]\lDECLARE f1 BIT\lDECLARE f2 BIT\lDECLARE ro BIT[2]\l", style=filled, fillcolor=lightgoldenrod];
+  b2 [label="b2 [hybrid]\lMEASURE 1 f1\l", style=filled, fillcolor=lightcoral];
+  b3 [label="b3 [quantum]\lZ 1\lCNOT 1 2\l", style=filled, fillcolor=lightblue];
+  b4 [label="b4 [hybrid]\lMEASURE 2 f2\lJUMP-UNLESS @done f2\l", style=filled, fillcolor=lightcoral];
+  b5 [label="b5 [quantum]\lY 2\l", style=filled, fillcolor=lightblue];
+  b6 [label="b6 [quantum]\lH 2\lCNOT 2 0\lZ 0\l", style=filled, fillcolor=lightblue];
+  b7 [label="b7 [quantum]\lS 0\lT 0\lH 1\l", style=filled, fillcolor=lightblue];
+  b8 [label="b8 [classical]\lMOVE ro[1] 1\l", style=filled, fillcolor=lightgoldenrod];
+  b9 [label="b9 [hybrid]\lMEASURE 1 ro\lMEASURE 1 f1\lJUMP-WHEN @retry f1\l", style=filled, fillcolor=lightcoral];
+  b0 -> b2;
+  b1 -> b2;
+  b2 -> b3;
+  b3 -> b4;
+  b4 -> b5;
+  b4 -> b7;
+  b4 -> b8;
+  b5 -> b6;
+  b6 -> b7;
+  b6 -> b8;
+  b7 -> b9;
+  b8 -> b9;
+  b9 -> b6;
+}
+""",
+    }
+
+    @pytest.mark.parametrize("name", sorted(CFG_DOT))
+    def test_cfg_dot_text(self, name):
+        cfg = graphs.Cfg(fixture_program(name))
+        assert graphs.cfg_to_dot(cfg) == self.CFG_DOT[name]
 
     def test_cfg_dot(self):
         cfg = graphs.Cfg(fixture_program("teleportation"))

@@ -116,7 +116,7 @@ class TestRunExperiment:
         assert result.to_dict()["table"] == []
         assert result.modal is None
 
-    @pytest.mark.parametrize("name", ["runs", "pairs", "verify_runs"])
+    @pytest.mark.parametrize("name", ["runs", "pairs", "seed", "verify_runs"])
     def test_negative_counts_are_refused(self, name):
         program = fixture_program("teleportation")
         with pytest.raises(ValueError, match=f"^{name} must be at least 0, got -1$"):

@@ -320,6 +320,23 @@ class TestProgram:
         assert p.qubits == (0, 1, 3, 5)
         assert ir.Program().qubits == ()
 
+    def test_successors(self):
+        p = ir.parse(
+            "DECLARE c BIT\n"       # 0
+            "LABEL @top\n"          # 1
+            "H 0\n"                 # 2
+            "JUMP-WHEN @end c\n"    # 3
+            "JUMP-UNLESS @top c\n"  # 4
+            "JUMP @end\n"           # 5
+            "HALT\n"                # 6
+            "LABEL @end\n"          # 7
+        )
+        assert p.successors == (
+            (1,), (2,), (3,), (7, 4), (1, 5), (7,), (8,), (8,)
+        )
+        assert p.successors is p.successors
+        assert ir.Program().successors == ()
+
     def test_len(self):
         assert len(ir.parse("X 0\nY 0\n")) == 2
 

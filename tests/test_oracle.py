@@ -612,7 +612,7 @@ class TestFactor:
         )
         dead = [
             {(region, i) for region, start, stop, _ in runs for i in range(start, stop)}
-            for runs in oracle._dead_cells(program, program.labels, {"ro"}, range(10)).values()
+            for runs in oracle._dead_cells(program, {"ro"}, range(10)).values()
         ]
         # x is live from its MOVE to the RX that reads it; n is read only by
         # the ADD, which writes an n the MOVE overwrites, so n is faint
@@ -626,7 +626,7 @@ class TestFactor:
 
     @staticmethod
     def _dead_at(program, pc):
-        runs = oracle._dead_cells(program, program.labels, {"ro"}, [pc])[pc]
+        runs = oracle._dead_cells(program, {"ro"}, [pc])[pc]
         return {(region, i) for region, start, stop, _ in runs for i in range(start, stop)}
 
     def test_a_div_divisor_stays_live(self):
@@ -683,7 +683,7 @@ class TestFactor:
         program = ir.parse(
             "DECLARE big BIT[2000000]\nDECLARE ro BIT[1]\nH 0\nMEASURE 0 ro[0]\n"
         )
-        runs = oracle._dead_cells(program, program.labels, {"ro"}, [0, 4])
+        runs = oracle._dead_cells(program, {"ro"}, [0, 4])
         assert runs == {
             0: [("big", 0, 2_000_000, 0), ("ro", 0, 1, 0)],
             4: [("big", 0, 2_000_000, 0)],
